@@ -79,9 +79,8 @@ void BM_ShmChannelSend(benchmark::State& state) {
                              std::byte{7});
   std::atomic<bool> stop{false};
   std::thread consumer([&] {
-    std::vector<std::byte> out;
     while (!stop.load(std::memory_order_relaxed)) {
-      std::vector<std::byte> tmp;
+      ByteLease tmp;
       (void)channel.receive_for(&tmp, std::chrono::milliseconds(1));
     }
   });

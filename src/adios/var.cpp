@@ -71,10 +71,10 @@ StatusOr<VarMeta> VarMeta::decode(serial::BufReader* r) {
   m.type = static_cast<serial::DataType>(type);
   m.shape = static_cast<ShapeKind>(shape);
   std::uint64_t n = 0;
-  FLEXIO_RETURN_IF_ERROR(r->get_varint(&n));
+  FLEXIO_RETURN_IF_ERROR(r->get_count(&n));
   m.global_dims.resize(n);
   for (auto& d : m.global_dims) FLEXIO_RETURN_IF_ERROR(r->get_varint(&d));
-  FLEXIO_RETURN_IF_ERROR(r->get_varint(&n));
+  FLEXIO_RETURN_IF_ERROR(r->get_count(&n));
   m.block.offset.resize(n);
   m.block.count.resize(n);
   for (auto& o : m.block.offset) FLEXIO_RETURN_IF_ERROR(r->get_varint(&o));

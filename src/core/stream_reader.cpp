@@ -76,11 +76,14 @@ StreamReader::~StreamReader() { (void)close(); }
 
 void StreamReader::observe_data_msg(const wire::DataMsg& m) {
   if (!m.trace) return;
-  trace::clock_sample(m.trace->send_ns);
-  const std::uint64_t now = metrics::now_ns();
-  if (now > m.trace->send_ns) {
-    transfer_accum_[m.step] += now - m.trace->send_ns;
+  const std::uint64_t send_ns = m.trace->send_ns;
+  trace::clock_sample(send_ns);
+  StepWire& acc = step_wire_[m.step];
+  if (!acc.first_send_ns || send_ns < *acc.first_send_ns) {
+    acc.first_send_ns = send_ns;
   }
+  const std::uint64_t now = metrics::now_ns();
+  if (now > send_ns) acc.transfer_ns += now - send_ns;
 }
 
 Status StreamReader::open(Runtime* rt, const StreamSpec& spec) {
@@ -455,7 +458,7 @@ Status StreamReader::next_control(std::vector<std::byte>* out) {
     auto type = wire::peek_type(ByteView(msg.payload));
     if (!type.is_ok()) return type.status();
     if (type.value() == wire::MsgType::kData) {
-      auto data = wire::decode_data(ByteView(msg.payload));
+      auto data = wire::decode_data(msg.payload);
       if (!data.is_ok()) return data.status();
       observe_data_msg(data.value());
       stash_.push_back(std::move(data).value());
@@ -464,7 +467,9 @@ Status StreamReader::next_control(std::vector<std::byte>* out) {
       }
       continue;
     }
-    *out = std::move(msg.payload);
+    // Control frames are small: copy them out and let the lease go, so
+    // the transport memory is not held across the step.
+    out->assign(msg.payload.begin(), msg.payload.end());
     return Status::ok();
   }
 }
@@ -568,7 +573,7 @@ StatusOr<StepId> StreamReader::begin_step_stream() {
         if (!type.is_ok()) return type.status();
         switch (type.value()) {
           case wire::MsgType::kData: {
-            auto data = wire::decode_data(ByteView(msg.payload));
+            auto data = wire::decode_data(msg.payload);
             if (!data.is_ok()) return data.status();
             observe_data_msg(data.value());
             stash_.push_back(std::move(data).value());
@@ -588,7 +593,7 @@ StatusOr<StepId> StreamReader::begin_step_stream() {
             break;
           }
           case wire::MsgType::kStepAnnounce:
-            frame = std::move(msg.payload);
+            frame.assign(msg.payload.begin(), msg.payload.end());
             have_frame = true;
             break;
           case wire::MsgType::kMembershipUpdate: {
@@ -668,7 +673,7 @@ StatusOr<StepId> StreamReader::begin_step() {
   }
   pending_reads_.clear();
   pending_pg_.clear();
-  pg_blocks_.clear();
+  pg_blocks_.clear();  // releases the previous step's payload leases
   return bp_ ? begin_step_file() : begin_step_stream();
 }
 
@@ -761,53 +766,61 @@ Status StreamReader::migrate_plugin(const std::string& var,
 
 Status StreamReader::place_piece(wire::DataPiece piece, int writer_rank,
                                  std::vector<PgBlock>* pg_out) {
-  if (piece.meta.shape == adios::ShapeKind::kLocalArray) {
+  // Reader-side plug-ins consume owned bytes, like the writer's: the
+  // piece lets go of its frame first.
+  const bool local = piece.meta.shape == adios::ShapeKind::kLocalArray;
+  const auto plug = reader_plugins_.find(piece.meta.name);
+  const std::size_t received_bytes = piece.bytes().size();
+  if (plug != reader_plugins_.end()) {
+    PerfMonitor::ScopedTimer pt(&monitor_, "plugin.exec");
+    piece.materialize();
+    auto transformed = plug->second(piece);
+    if (!transformed.is_ok()) return transformed.status();
+    piece = std::move(transformed).value();
+  }
+  if (local) {
+    // Applications read a block in place as its element type. The wire
+    // aligns payloads within a frame, but a frame behind a transport
+    // header (shm inline, rdma eager) can sit unaligned: such a block is
+    // copied to the heap, which aligns it.
+    if (reinterpret_cast<std::uintptr_t>(piece.bytes().data()) %
+            wire::kPayloadAlign !=
+        0) {
+      piece.materialize();
+    }
     PgBlock block;
     block.writer_rank = writer_rank;
-    const auto plug = reader_plugins_.find(piece.meta.name);
-    if (plug != reader_plugins_.end()) {
-      PerfMonitor::ScopedTimer pt(&monitor_, "plugin.exec");
-      auto transformed = plug->second(piece);
-      if (!transformed.is_ok()) return transformed.status();
-      block.meta = transformed.value().meta;
-      block.payload = std::move(transformed.value().payload);
-    } else {
-      block.meta = piece.meta;
-      block.payload = std::move(piece.payload);  // the piece is ours: no copy
-    }
+    block.meta = piece.meta;
+    block.payload = piece.take_lease();  // the piece is ours: no copy
     pg_out->push_back(std::move(block));
     return Status::ok();
   }
-  // Global-array piece: route the region into every overlapping pending
-  // read (normally exactly one).
-  const wire::DataPiece* effective = &piece;
-  wire::DataPiece transformed_storage;
-  const auto plug = reader_plugins_.find(piece.meta.name);
-  if (plug != reader_plugins_.end()) {
-    PerfMonitor::ScopedTimer pt(&monitor_, "plugin.exec");
-    auto transformed = plug->second(piece);
-    if (!transformed.is_ok()) return transformed.status();
-    transformed_storage = std::move(transformed).value();
-    if (transformed_storage.payload.size() != piece.payload.size()) {
-      return make_error(ErrorCode::kInvalidArgument,
-                        "reader-side plug-in changed global-array size");
-    }
-    effective = &transformed_storage;
+  // Global-array piece: route the region straight from the lease into
+  // every overlapping pending read (normally exactly one).
+  if (plug != reader_plugins_.end() && piece.bytes().size() != received_bytes) {
+    return make_error(ErrorCode::kInvalidArgument,
+                      "reader-side plug-in changed global-array size");
   }
-  const std::size_t elem = serial::size_of(effective->meta.type);
+  const std::size_t elem = serial::size_of(piece.meta.type);
+  // copy_region reads the whole region out of the piece's bytes.
+  if (elem != 0 && piece.bytes().size() != piece.region.elements() * elem) {
+    return make_error(ErrorCode::kInvalidArgument,
+                      "data piece size does not match its region: " +
+                          piece.meta.name);
+  }
   bool placed = false;
   for (PendingRead& pr : pending_reads_) {
-    if (pr.var != effective->meta.name) continue;
+    if (pr.var != piece.meta.name) continue;
     adios::Box overlap;
-    if (!intersect(pr.selection, effective->region, &overlap)) continue;
-    adios::copy_region(effective->region, effective->payload.data(),
-                       pr.selection, pr.dst.data(), overlap, elem);
+    if (!intersect(pr.selection, piece.region, &overlap)) continue;
+    adios::copy_region(piece.region, piece.bytes().data(), pr.selection,
+                       pr.dst.data(), overlap, elem);
     placed = true;
   }
   if (!placed) {
     return make_error(ErrorCode::kInternal,
                       "received piece matches no pending read: " +
-                          effective->meta.name);
+                          piece.meta.name);
   }
   return Status::ok();
 }
@@ -822,13 +835,13 @@ Status StreamReader::perform_reads_file() {
   for (int w : pending_pg_) {
     for (const adios::BpBlockRef& ref : bp_->blocks_for_writer(step_, w)) {
       if (ref.meta.shape != adios::ShapeKind::kLocalArray) continue;
+      std::vector<std::byte> bytes(ref.payload_bytes);
+      FLEXIO_RETURN_IF_ERROR(bp_->read_block(ref, MutableByteView(bytes)));
+      monitor_.add_count("bytes.read", bytes.size());
       PgBlock block;
       block.writer_rank = w;
       block.meta = ref.meta;
-      block.payload.resize(ref.payload_bytes);
-      FLEXIO_RETURN_IF_ERROR(
-          bp_->read_block(ref, MutableByteView(block.payload)));
-      monitor_.add_count("bytes.read", block.payload.size());
+      block.payload = ByteLease(std::move(bytes));
       pg_blocks_.push_back(std::move(block));
     }
   }
@@ -972,16 +985,27 @@ Status StreamReader::perform_reads_stream() {
   for (const TransferPiece& p : cached_expected_) {
     remaining.emplace(std::make_pair(p.writer_rank, p.var), &p);
   }
-  // Matched pieces in arrival order. Placement (plug-in + copy/move) is
-  // deferred to one batch after the drain so the read pool can run it in
-  // parallel; the frames themselves drain strictly serially, keeping
-  // receive order and control-frame handling unchanged.
+  // Matched pieces in arrival order. With a read pool, placement (plug-in
+  // + copy/move) is deferred to one batch after the drain so the pool can
+  // run it in parallel; a serial reader places each piece as it arrives,
+  // so the piece's frame lease (an shm slot, an rdma receive buffer) goes
+  // back while the rest of the step is still in flight. Either way the
+  // frames drain strictly serially, keeping receive order and
+  // control-frame handling unchanged. All-run + first-error-wins, like the
+  // writer: one bad piece must not suppress its siblings' placement.
   struct MatchedPiece {
     wire::DataPiece piece;
     int writer_rank = 0;
   };
   std::vector<MatchedPiece> matched;
-  matched.reserve(cached_expected_.size());
+  std::vector<std::uint64_t> task_ns;
+  Status placed = Status::ok();
+  auto place_now = [&](wire::DataPiece piece, int writer_rank) {
+    const std::uint64_t t0 = metrics::now_ns();
+    const Status st = place_piece(std::move(piece), writer_rank, &pg_blocks_);
+    task_ns.push_back(metrics::now_ns() - t0);
+    if (placed.is_ok()) placed = st;
+  };
   auto try_match = [&](wire::DataMsg& msg) -> StatusOr<bool> {
     bool any = false;
     for (wire::DataPiece& piece : msg.pieces) {
@@ -1000,9 +1024,13 @@ Status StreamReader::perform_reads_stream() {
       }
       remaining.erase(hit);
       const std::size_t piece_bytes = piece.bytes().size();
-      matched.push_back(MatchedPiece{std::move(piece), msg.writer_rank});
       monitor_.add_count("bytes.received", piece_bytes);
       stream_bytes_received_counter().add(piece_bytes);
+      if (read_pool_ == nullptr) {
+        place_now(std::move(piece), msg.writer_rank);
+      } else {
+        matched.push_back(MatchedPiece{std::move(piece), msg.writer_rank});
+      }
       any = true;
     }
     return any;
@@ -1027,13 +1055,18 @@ Status StreamReader::perform_reads_stream() {
     if (!type.is_ok()) return type.status();
     switch (type.value()) {
       case wire::MsgType::kData: {
-        auto data = wire::decode_data(ByteView(msg.payload));
+        auto data = wire::decode_data(msg.payload);
         if (!data.is_ok()) return data.status();
         observe_data_msg(data.value());
         if (data.value().step == step_) {
           auto matched = try_match(data.value());
           if (!matched.is_ok()) return matched.status();
         } else if (data.value().step > step_) {
+          // A writer running ahead must not pin one transport buffer per
+          // early frame (an shm pool fails its producer at a hard cap):
+          // frames ahead of the step being read are copied out of their
+          // lease before they wait in the stash.
+          for (wire::DataPiece& p : data.value().pieces) p.materialize();
           stash_.push_back(std::move(data).value());
         } else {
           return make_error(ErrorCode::kInternal, "stale data message");
@@ -1058,7 +1091,7 @@ Status StreamReader::perform_reads_stream() {
       case wire::MsgType::kStepAnnounce:
         // The writer ran ahead: the next step's announce overtook the tail
         // of this step's data on other links. Keep it for begin_step.
-        control_stash_.push_back(std::move(msg.payload));
+        control_stash_.emplace_back(msg.payload.begin(), msg.payload.end());
         break;
       case wire::MsgType::kMembershipUpdate: {
         // Rode ahead of a future epoch-changed announce; hold it for the
@@ -1079,12 +1112,10 @@ Status StreamReader::perform_reads_stream() {
   // disjoint destination regions and per-task PgBlock slots keep delivery
   // in arrival order, so tasks never write the same byte. Per-task timing
   // slots are disjoint indices read after run_batch's completion wait (the
-  // synchronization point). All-run + first-error-wins, like the writer:
-  // one bad piece must not suppress its siblings' placement.
+  // synchronization point).
   const std::size_t n_matched = matched.size();
-  std::vector<std::uint64_t> task_ns(n_matched, 0);
-  Status placed = Status::ok();
-  if (read_pool_ != nullptr && n_matched > 1) {
+  if (n_matched > 1) {
+    task_ns.assign(n_matched, 0);
     std::vector<std::vector<PgBlock>> pg_slots(n_matched);
     // Tasks inherit this thread's trace identity: their spans parent under
     // reader.perform_reads in the stitched timeline.
@@ -1108,15 +1139,8 @@ Status StreamReader::perform_reads_stream() {
     for (std::vector<PgBlock>& slot : pg_slots) {
       for (PgBlock& block : slot) pg_blocks_.push_back(std::move(block));
     }
-  } else {
-    // Serial path: same deferred batch, executed inline in arrival order.
-    for (std::size_t i = 0; i < n_matched; ++i) {
-      const std::uint64_t t0 = metrics::now_ns();
-      const Status st = place_piece(std::move(matched[i].piece),
-                                    matched[i].writer_rank, &pg_blocks_);
-      task_ns[i] = metrics::now_ns() - t0;
-      if (placed.is_ok()) placed = st;
-    }
+  } else if (n_matched == 1) {
+    place_now(std::move(matched[0].piece), matched[0].writer_rank);
   }
   if (!placed.is_ok()) return placed;
   std::uint64_t unpack_ns = 0;
@@ -1129,22 +1153,26 @@ Status StreamReader::perform_reads_stream() {
   // Fold this step's phase timings into the registry histograms and the
   // per-endpoint monitor. Transfer time may have accumulated before the
   // step opened (stashed early arrivals), hence the per-step map.
-  std::uint64_t transfer_ns = 0;
-  if (const auto it = transfer_accum_.find(step_);
-      it != transfer_accum_.end()) {
-    transfer_ns = it->second;
-    transfer_accum_.erase(it);
+  StepWire wire_acc;
+  if (const auto it = step_wire_.find(step_); it != step_wire_.end()) {
+    wire_acc = it->second;
+    step_wire_.erase(it);
   }
-  step_transfer_hist().record(transfer_ns);
+  step_transfer_hist().record(wire_acc.transfer_ns);
   step_unpack_hist().record(unpack_ns);
   step_unpack_critical_hist().record(unpack_max);
-  monitor_.add_count("phase.transfer_ns", transfer_ns);
+  monitor_.add_count("phase.transfer_ns", wire_acc.transfer_ns);
   monitor_.add_count("phase.unpack_ns", unpack_ns);
   monitor_.add_count("phase.unpack_critical_ns", unpack_max);
+  // The step's total runs from its announce; a cached step has none, so it
+  // runs from the earliest send stamp among its data frames.
+  std::optional<std::uint64_t> start_ns = wire_acc.first_send_ns;
   if (have_announce_ctx_ && announce_ctx_.step == step_) {
+    start_ns = announce_ctx_.send_ns;
+  }
+  if (start_ns) {
     const std::uint64_t now = metrics::now_ns();
-    const std::uint64_t total =
-        now > announce_ctx_.send_ns ? now - announce_ctx_.send_ns : 0;
+    const std::uint64_t total = now > *start_ns ? now - *start_ns : 0;
     step_total_hist().record(total);
     monitor_.add_count("phase.total_ns", total);
   }
@@ -1271,6 +1299,10 @@ Status StreamReader::close() {
     return Status::ok();
   }
   closed_ = true;
+  // Let go of every transport lease this reader holds: the last step's
+  // blocks and data that arrived for steps never read.
+  pg_blocks_.clear();
+  stash_.clear();
   if (membership_ && !bp_) {
     stop_heartbeats();
     if (rank_ == Program::kCoordinator) program_->set_liveness_hook(nullptr);

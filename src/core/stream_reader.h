@@ -24,11 +24,16 @@
 
 namespace flexio {
 
-/// One process-group block delivered by perform_reads.
+/// One process-group block delivered by perform_reads. In stream mode the
+/// payload is a lease over the received frame (shm pool slot, rdma receive
+/// buffer, inproc queue entry): no copy is made to deliver it. The reader
+/// drops its own reference at the next begin_step or close; a copy of the
+/// block keeps the bytes valid for as long as it lives, past the reader and
+/// the runtime, but also keeps that transport memory busy.
 struct PgBlock {
   int writer_rank = 0;
   adios::VarMeta meta;
-  std::vector<std::byte> payload;
+  ByteLease payload;
 };
 
 class StreamReader {
@@ -158,10 +163,11 @@ class StreamReader {
   /// Coordinator helper: receive the next control message from the writer
   /// coordinator, stashing any early data messages.
   Status next_control(std::vector<std::byte>* out);
-  /// Takes the piece by value: local-array payloads move straight into the
-  /// delivered PgBlock instead of being copied. Runs the reader-side
-  /// plug-in, then routes the payload: local arrays append to *pg_out,
-  /// global arrays copy_region into the scheduled dst buffers. Safe to run
+  /// Takes the piece by value: a local-array piece's lease moves straight
+  /// into the delivered PgBlock, and a global-array piece is copy_region'd
+  /// from its lease into the scheduled dst buffers, after which the lease
+  /// drops (on whichever thread ran the task). A reader-side plug-in first
+  /// materializes the piece, then transforms it. Safe to run
   /// concurrently for distinct pieces (DESIGN.md "Parallel unpack"):
   /// expected pieces cover disjoint regions, pending_reads_ /
   /// reader_plugins_ are read-only while a step's batch is in flight, and
@@ -200,12 +206,18 @@ class StreamReader {
   std::vector<wire::BlockInfo> step_blocks_;  // writer distributions
   // Step telemetry: stream hash, the writer's trace context from this
   // step's announce (parents reader spans under the writer's end_step
-  // span), and per-step transfer-latency accumulation keyed by step id
-  // because data messages can arrive before their step opens.
+  // span), and per-step data-frame accounting keyed by step id because
+  // data messages can arrive before their step opens: summed transfer
+  // latency, and the earliest send stamp, which starts the clock of a
+  // cached step (it has no announce to time it from).
   std::uint64_t stream_id_ = 0;
   wire::TraceContext announce_ctx_{};
   bool have_announce_ctx_ = false;
-  std::map<StepId, std::uint64_t> transfer_accum_;
+  struct StepWire {
+    std::uint64_t transfer_ns = 0;
+    std::optional<std::uint64_t> first_send_ns;
+  };
+  std::map<StepId, StepWire> step_wire_;
   struct PendingRead {
     std::string var;
     adios::Box selection;
@@ -266,7 +278,9 @@ class StreamReader {
 
   // Early-arrival stashes: data messages for future steps, and control
   // frames (the next StepAnnounce can overtake the tail of the current
-  // step's data on other links -- writers run ahead).
+  // step's data on other links -- writers run ahead). Stashed data pieces
+  // keep their frame's lease, and with it an shm slot or rdma receive
+  // buffer, until their step places them or the reader closes.
   std::vector<wire::DataMsg> stash_;
   std::deque<std::vector<std::byte>> control_stash_;
   std::optional<wire::MonitorReport> writer_report_;

@@ -53,8 +53,8 @@ struct CreditState {
   std::size_t cap = 0;
   std::size_t queued = 0;       // bytes in DRR sub-queues, all destinations
   Status async_error;           // first kAsync send failure, latched
-  metrics::Gauge* queued_gauge = nullptr;
-  metrics::Gauge* credits_gauge = nullptr;
+  std::shared_ptr<metrics::Gauge> queued_gauge;
+  std::shared_ptr<metrics::Gauge> credits_gauge;
 };
 
 /// Completion latch for a synchronous mux send (the caller blocks until the
@@ -282,9 +282,9 @@ class SharedEndpoint : public std::enable_shared_from_this<SharedEndpoint> {
       orphan_counter().inc();
       return;
     }
+    // Strip the prefix by narrowing the lease: the frame bytes never move.
     const std::size_t prefix_len = raw.payload.size() - mux.value().inner.size();
-    raw.payload.erase(raw.payload.begin(),
-                      raw.payload.begin() + static_cast<std::ptrdiff_t>(prefix_len));
+    raw.payload = raw.payload.subspan(prefix_len);
     it->second.push_back(std::move(raw));
   }
 
@@ -375,7 +375,7 @@ StreamChannel::~StreamChannel() {
     shared_->detach_stream(stream_id_);
     // Return credits before detach_shared: the last detach retires the
     // stream's metric families, and the accounting should land on the
-    // live series, not on a retired (leaked) object.
+    // live series, not on a retired one.
     if (credits_gauge_ != nullptr) {
       credits_gauge_->sub(static_cast<std::int64_t>(opts_.credit_bytes));
     }
@@ -432,12 +432,12 @@ Status StreamChannel::send_mux(const std::string& to,
       }
     }
     return shared_->enqueue(stream_id_, to, std::move(frame), mode, credit_,
-                            nullptr, stalls_counter_, deadline);
+                            nullptr, stalls_counter_.get(), deadline);
   }
   auto waiter = std::make_shared<MuxWaiter>();
   FLEXIO_RETURN_IF_ERROR(shared_->enqueue(stream_id_, to, std::move(frame),
                                           mode, credit_, waiter,
-                                          stalls_counter_, deadline));
+                                          stalls_counter_.get(), deadline));
   std::unique_lock<std::mutex> lock(waiter->mutex);
   if (!waiter->cv.wait_until(lock, deadline, [&] { return waiter->done; })) {
     return make_error(ErrorCode::kTimeout, "mux send to " + to + " timed out");
@@ -562,12 +562,11 @@ StatusOr<std::shared_ptr<StreamChannel>> StreamRegistry::attach(
   ch->shared_ = std::move(se);
   ch->name_ = key;
   ch->prefix_ = wire::encode_mux_prefix(ch->stream_id_);
-  ch->queued_gauge_ = &queued_bytes_family().with(stream);
-  ch->credits_gauge_ = &credits_family().with(stream);
-  ch->stalls_counter_ = &stalls_family().with(stream);
+  ch->credits_gauge_ = credits_family().share(stream);
+  ch->stalls_counter_ = stalls_family().share(stream);
   auto credit = std::make_shared<CreditState>();
   credit->cap = opts.credit_bytes;
-  credit->queued_gauge = ch->queued_gauge_;
+  credit->queued_gauge = queued_bytes_family().share(stream);
   credit->credits_gauge = ch->credits_gauge_;
   ch->credits_gauge_->add(static_cast<std::int64_t>(opts.credit_bytes));
   ch->credit_ = std::move(credit);
@@ -600,9 +599,8 @@ void StreamRegistry::detach_shared(std::uint64_t stream_id) {
   if (it != stream_ids_.end() && --it->second.second <= 0) {
     // Last channel of this stream in the process: retire its per-stream
     // series so scrapes stop showing the closed stream as live, and its
-    // cardinality slots free up for future streams. Cached references
-    // (CreditState, in-flight sends) stay valid -- retire leaks the
-    // metric objects by design.
+    // cardinality slots free up for future streams. Holders (CreditState,
+    // in-flight frames) keep the objects writable; the last one frees them.
     const std::string& stream = it->second.first;
     queued_bytes_family().retire(stream);
     credits_family().retire(stream);

@@ -130,10 +130,10 @@ class StreamChannel {
   std::vector<std::byte> prefix_;           // encoded mux routing prefix
   std::shared_ptr<CreditState> credit_;
   // Per-stream metric series, resolved once through the bounded-cardinality
-  // families (metrics::Family) so 1k streams collapse into *.other.
-  metrics::Gauge* queued_gauge_ = nullptr;
-  metrics::Gauge* credits_gauge_ = nullptr;
-  metrics::Counter* stalls_counter_ = nullptr;
+  // families (metrics::Family) so 1k streams collapse into *.other. Shared
+  // handles: a retired series is freed once its last holder is gone.
+  std::shared_ptr<metrics::Gauge> credits_gauge_;
+  std::shared_ptr<metrics::Counter> stalls_counter_;
 };
 
 /// Process-wide owner of the shared endpoints, their demux state, and the

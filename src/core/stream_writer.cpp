@@ -190,7 +190,9 @@ Status StreamWriter::begin_step(StepId step) {
   in_step_ = true;
   step_ = step;
   my_blocks_.clear();
-  my_payloads_.clear();
+  // Keep each slot's capacity for the next write into it. Borrowed pieces
+  // never outlive send_iov, so nothing still reads the old bytes.
+  for (std::vector<std::byte>& slot : my_payloads_) slot.clear();
   return Status::ok();
 }
 
@@ -215,14 +217,14 @@ Status StreamWriter::write(const adios::VarMeta& meta, ByteView payload) {
   wire::BlockInfo block;
   block.writer_rank = rank_;
   block.meta = meta;
+  const std::size_t slot = my_blocks_.size();
+  if (slot == my_payloads_.size()) my_payloads_.emplace_back();
   if (meta.shape == adios::ShapeKind::kScalar) {
     block.scalar_payload.assign(payload.begin(), payload.end());
-    my_blocks_.push_back(std::move(block));
-    my_payloads_.emplace_back();
   } else {
-    my_blocks_.push_back(std::move(block));
-    my_payloads_.emplace_back(payload.begin(), payload.end());
+    my_payloads_[slot].assign(payload.begin(), payload.end());
   }
+  my_blocks_.push_back(std::move(block));
   monitor_.add_count("bytes.written", payload.size());
   return Status::ok();
 }
@@ -354,7 +356,7 @@ Status StreamWriter::run_handshake(bool* did_exchange) {
         return make_error(ErrorCode::kEndOfStream,
                           "reader disappeared mid-stream");
       }
-      request_raw = std::move(msg.payload);
+      request_raw.assign(msg.payload.begin(), msg.payload.end());
     }
     // Step 3: broadcast the peer-side distribution (the read request) so
     // every writer rank can compute its mapping independently.
@@ -575,8 +577,8 @@ Status StreamWriter::send_to_reader(const ReaderWork& work,
     if (p.whole_block) {
       // Borrow the buffered block: the bytes flow straight from
       // my_payloads_ into the transport at encode time. Safe because
-      // every transport finishes its copy inside send and the buffer
-      // lives until the next begin_step.
+      // every transport finishes its copy inside send and the buffer is
+      // not refilled before the next step's write.
       piece.borrowed = ByteView(payload);
     } else {
       // Pack the overlap region densely.

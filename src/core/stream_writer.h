@@ -138,7 +138,11 @@ class StreamWriter {
   std::uint64_t stream_id_ = 0;
   std::uint64_t step_span_id_ = 0;
   std::vector<wire::BlockInfo> my_blocks_;
-  std::vector<std::vector<std::byte>> my_payloads_;  // parallel to my_blocks_
+  // Buffered block payloads, slot i for my_blocks_[i]. Persistent: slots
+  // outlive the step (begin_step only empties them), so a steady writer
+  // refills the same capacity every step instead of allocating it. There
+  // may be more slots than blocks this step.
+  std::vector<std::vector<std::byte>> my_payloads_;
 
   // Handshake caches (paper Section II.C.2, third optimization).
   std::vector<wire::BlockInfo> cached_all_blocks_;  // coordinator only

@@ -1,11 +1,37 @@
 #include "core/wire.h"
 
+#include "util/metrics.h"
+
 namespace flexio::wire {
 
 namespace {
 
 using serial::BufReader;
 using serial::BufWriter;
+
+// One increment per data piece decoded as a view into its received frame
+// instead of a copy (the receive-side twin of flexio.wire.copies_avoided).
+metrics::Counter& recv_copies_avoided_counter() {
+  static metrics::Counter& c =
+      metrics::counter("flexio.wire.recv_copies_avoided");
+  return c;
+}
+
+// Zero bytes that bring a frame offset up to the next multiple of
+// kPayloadAlign.
+std::size_t pad_for(std::size_t offset) {
+  return (kPayloadAlign - offset % kPayloadAlign) % kPayloadAlign;
+}
+
+void put_pad(BufWriter* w, std::size_t offset) {
+  static constexpr std::byte kZeros[kPayloadAlign] = {};
+  w->put_raw(kZeros, pad_for(offset));
+}
+
+Status skip_pad(BufReader* r) {
+  ByteView pad;
+  return r->get_view(pad_for(r->position()), &pad);
+}
 
 void put_box(BufWriter* w, const adios::Box& box) {
   w->put_varint(box.offset.size());
@@ -15,7 +41,7 @@ void put_box(BufWriter* w, const adios::Box& box) {
 
 Status get_box(BufReader* r, adios::Box* box) {
   std::uint64_t n = 0;
-  FLEXIO_RETURN_IF_ERROR(r->get_varint(&n));
+  FLEXIO_RETURN_IF_ERROR(r->get_count(&n));
   box->offset.resize(n);
   box->count.resize(n);
   for (auto& o : box->offset) FLEXIO_RETURN_IF_ERROR(r->get_varint(&o));
@@ -158,6 +184,7 @@ std::vector<std::byte> encode_mux_prefix(std::uint64_t stream_id) {
   BufWriter w;
   w.put_u8(kMuxPrefixTag);
   w.put_varint(stream_id);
+  put_pad(&w, w.size());
   return w.take();
 }
 
@@ -177,6 +204,7 @@ StatusOr<MuxFrame> decode_mux(ByteView raw) {
   if (f.stream_id == 0) {
     return make_error(ErrorCode::kInvalidArgument, "mux prefix stream_id 0");
   }
+  FLEXIO_RETURN_IF_ERROR(skip_pad(&r));
   FLEXIO_RETURN_IF_ERROR(r.get_view(r.remaining(), &f.inner));
   return f;
 }
@@ -344,7 +372,10 @@ std::vector<std::byte> encode(const DataMsg& m) {
   for (const DataPiece& p : m.pieces) {
     p.meta.encode(&w);
     put_box(&w, p.region);
-    w.put_bytes(p.bytes());
+    const ByteView payload = p.bytes();
+    w.put_varint(payload.size());
+    put_pad(&w, w.size());
+    w.put_raw(payload.data(), payload.size());
   }
   put_trace_trailer(&w, m.trace);
   return w.take();
@@ -357,12 +388,17 @@ serial::IovMessage encode_data_iov(const DataMsg& m) {
   w.put_i64(m.step);
   w.put_varint(static_cast<std::uint64_t>(m.writer_rank));
   w.put_varint(m.pieces.size());
+  // Borrowed payload bytes spliced so far: a payload's wire offset is the
+  // header written before it plus these.
+  std::size_t spliced = 0;
   for (const DataPiece& p : m.pieces) {
     p.meta.encode(&w);
     put_box(&w, p.region);
     const ByteView payload = p.bytes();
     w.put_varint(payload.size());
+    put_pad(&w, w.size() + spliced);
     b.add_borrowed(payload);
+    spliced += payload.size();
   }
   // Header bytes written after the last borrowed payload become the final
   // wire fragment, so the trailer lands where decode_data expects it.
@@ -370,8 +406,8 @@ serial::IovMessage encode_data_iov(const DataMsg& m) {
   return std::move(b).finish();
 }
 
-StatusOr<DataMsg> decode_data(ByteView raw) {
-  BufReader r{raw};
+StatusOr<DataMsg> decode_data(const ByteLease& frame) {
+  BufReader r{frame.view()};
   FLEXIO_RETURN_IF_ERROR(expect_type(&r, MsgType::kData));
   DataMsg m;
   FLEXIO_RETURN_IF_ERROR(r.get_i64(&m.step));
@@ -379,7 +415,7 @@ StatusOr<DataMsg> decode_data(ByteView raw) {
   FLEXIO_RETURN_IF_ERROR(r.get_varint(&rank));
   m.writer_rank = static_cast<int>(rank);
   std::uint64_t n = 0;
-  FLEXIO_RETURN_IF_ERROR(r.get_varint(&n));
+  FLEXIO_RETURN_IF_ERROR(r.get_count(&n));
   m.pieces.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) {
     DataPiece p;
@@ -387,12 +423,15 @@ StatusOr<DataMsg> decode_data(ByteView raw) {
     if (!meta.is_ok()) return meta.status();
     p.meta = std::move(meta).value();
     FLEXIO_RETURN_IF_ERROR(get_box(&r, &p.region));
-    ByteView payload;
-    FLEXIO_RETURN_IF_ERROR(r.get_bytes(&payload));
-    p.payload.assign(payload.begin(), payload.end());
+    std::uint64_t len = 0;
+    FLEXIO_RETURN_IF_ERROR(r.get_varint(&len));
+    FLEXIO_RETURN_IF_ERROR(skip_pad(&r));
+    FLEXIO_RETURN_IF_ERROR(r.get_view(len, &p.borrowed));
+    p.owner = frame.owner();
     m.pieces.push_back(std::move(p));
   }
   FLEXIO_RETURN_IF_ERROR(get_trace_trailer(&r, &m.trace));
+  if (metrics::enabled()) recv_copies_avoided_counter().add(m.pieces.size());
   return m;
 }
 

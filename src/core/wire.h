@@ -18,6 +18,7 @@
 
 #include "adios/var.h"
 #include "serial/buffer.h"
+#include "util/byte_lease.h"
 #include "util/status.h"
 
 namespace flexio::wire {
@@ -129,30 +130,53 @@ struct ReadRequest {
 /// overlap, payload is its dense pack) or a whole local-array block
 /// (process-group pattern; region == meta.block).
 ///
-/// Payload ownership is dual: decode always materializes owned bytes in
-/// `payload`, but on the send path a whole-block piece may instead carry a
-/// `borrowed` view of the writer's buffered block -- the bytes then flow
-/// straight from that buffer into the transport via encode_data_iov with
-/// zero intermediate copies. Use bytes() to read regardless of mode.
+/// Payload ownership is dual. Owned bytes live in `payload` (packed regions
+/// on the send path, plug-in output). A `borrowed` view skips the copy:
+///  * on the send path a whole-block piece borrows the writer's buffered
+///    block, and the bytes flow straight from it into the transport via
+///    encode_data_iov (no owner: the block outlives the send);
+///  * on the receive path decode_data borrows every piece from the received
+///    frame, and `owner` (the frame's lease owner) keeps those bytes valid
+///    for as long as the piece lives.
+/// Use bytes() to read regardless of mode.
 struct DataPiece {
   adios::VarMeta meta;
   adios::Box region;
-  std::vector<std::byte> payload;  // owned (decode path, packed regions)
-  ByteView borrowed;               // borrowed (send path, whole blocks)
+  std::vector<std::byte> payload;      // owned
+  ByteView borrowed;                   // borrowed
+  std::shared_ptr<const void> owner;   // keeps `borrowed` valid (receive)
 
   /// The payload bytes, whichever side owns them.
   ByteView bytes() const {
     return borrowed.empty() ? ByteView(payload) : borrowed;
   }
 
+  /// The payload as a lease: the borrowed bytes with their owner, or the
+  /// owned bytes moved into one. Leaves the piece empty.
+  ByteLease take_lease() {
+    if (borrowed.empty()) return ByteLease(std::move(payload));
+    ByteLease out(borrowed, std::move(owner));
+    borrowed = {};
+    return out;
+  }
+
   /// Copy a borrowed payload into owned storage (needed before handing the
-  /// piece to code that mutates or outlives the borrowed buffer).
+  /// piece to code that mutates or outlives the borrowed buffer), and let
+  /// go of the frame it borrowed from.
   void materialize() {
     if (borrowed.empty()) return;
     payload.assign(borrowed.begin(), borrowed.end());
     borrowed = {};
+    owner.reset();
   }
 };
+
+/// Piece payloads in a data frame start at multiples of this many bytes
+/// from the frame start (the encoder pads, the decoder skips), and the mux
+/// prefix is padded to a multiple of it, so a frame that a transport
+/// received at an aligned address (pool slot, rdma receive buffer, heap
+/// entry) delivers pieces readable in place as any element type.
+inline constexpr std::size_t kPayloadAlign = 8;
 
 /// Writer rank -> reader rank. One piece per message without batching;
 /// all pieces of the (writer, reader, step) triple in one message with it.
@@ -227,8 +251,9 @@ struct Heartbeat {
 /// Peek the type tag of an encoded message.
 StatusOr<MsgType> peek_type(ByteView raw);
 
-/// Multiplexing frame prefix (shared-link mode): `tag + varint stream_id`
-/// prepended to an ordinary protocol frame so many streams can share one
+/// Multiplexing frame prefix (shared-link mode): `tag + varint stream_id`,
+/// zero-padded to a multiple of kPayloadAlign, prepended to an ordinary
+/// protocol frame so many streams can share one
 /// link and the receiving registry can route each frame to its stream's
 /// inbox. The tag sits outside the MsgType range [1, 10], so a legacy
 /// decoder fed a prefixed frame fails loudly in peek_type instead of
@@ -277,7 +302,12 @@ StatusOr<OpenRequest> decode_open_request(ByteView raw);
 StatusOr<OpenReply> decode_open_reply(ByteView raw);
 StatusOr<StepAnnounce> decode_step_announce(ByteView raw);
 StatusOr<ReadRequest> decode_read_request(ByteView raw);
-StatusOr<DataMsg> decode_data(ByteView raw);
+/// Decode a data frame without copying any payload: every piece borrows
+/// its bytes from `frame` and shares its owner, so the pieces stay valid
+/// after the frame (and its transport link) are gone. A corrupt frame fails
+/// with a Status and no piece view reaches past the frame. Counts each
+/// piece in flexio.wire.recv_copies_avoided.
+StatusOr<DataMsg> decode_data(const ByteLease& frame);
 StatusOr<PluginInstall> decode_plugin_install(ByteView raw);
 StatusOr<MonitorReport> decode_monitor_report(ByteView raw);
 StatusOr<MembershipUpdate> decode_membership_update(ByteView raw);

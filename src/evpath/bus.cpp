@@ -104,6 +104,9 @@ Status Endpoint::recv_from(const std::string& from, Message* out,
   for (;;) {
     {
       std::lock_guard<std::mutex> lock(recv_mutex_);
+      if (has_attached_.load(std::memory_order_acquire)) {
+        adopt_attached_locked();
+      }
       const std::size_t n = recv_links_.size();
       for (std::size_t step = 0; step < n; ++step) {
         const std::size_t i = (rr_cursor_ + step) % n;
@@ -175,8 +178,16 @@ LinkStats Endpoint::outbound_stats(const std::string& to) const {
 
 void Endpoint::attach_recv_link(const std::string& from,
                                 std::unique_ptr<RecvLink> link) {
-  std::lock_guard<std::mutex> lock(recv_mutex_);
-  recv_links_.push_back(Inbound{from, std::move(link)});
+  std::lock_guard<std::mutex> lock(attach_mutex_);
+  attached_.push_back(Inbound{from, std::move(link)});
+  has_attached_.store(true, std::memory_order_release);
+}
+
+void Endpoint::adopt_attached_locked() {
+  std::lock_guard<std::mutex> lock(attach_mutex_);
+  for (Inbound& in : attached_) recv_links_.push_back(std::move(in));
+  attached_.clear();
+  has_attached_.store(false, std::memory_order_relaxed);
 }
 
 StatusOr<std::shared_ptr<Endpoint>> MessageBus::create_endpoint(

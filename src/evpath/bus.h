@@ -22,6 +22,7 @@
 // never touches freed link state.
 #pragma once
 
+#include <atomic>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -104,6 +105,8 @@ class Endpoint {
 
   void attach_recv_link(const std::string& from,
                         std::unique_ptr<RecvLink> link);
+  /// Move attached_ into recv_links_; called with recv_mutex_ held.
+  void adopt_attached_locked();
   std::shared_ptr<LinkEntry> outbound(const std::string& to) const;
   StatusOr<std::shared_ptr<LinkEntry>> outbound_or_connect(
       const std::string& to);
@@ -129,6 +132,14 @@ class Endpoint {
   };
   std::vector<Inbound> recv_links_;
   std::size_t rr_cursor_ = 0;  // round-robin fairness across inbound links
+
+  // Links a peer dialed, waiting for the next poll to adopt them. A waiting
+  // receiver re-takes recv_mutex_ between spin-yields (and holds it through
+  // an rdma Get), so a dialer queued on it can starve for milliseconds;
+  // attaching takes only attach_mutex_ (lock order: recv -> attach).
+  std::mutex attach_mutex_;
+  std::vector<Inbound> attached_;
+  std::atomic<bool> has_attached_{false};
 
   // Idle-recv pacing state, persistent across recv calls so repeated short
   // timed polls (a demux pump slicing one long wait into many recv calls)

@@ -168,7 +168,7 @@ class InprocRecvLink final : public RecvLink {
     std::lock_guard<std::mutex> lock(state_->mutex);
     if (!state_->queue.empty()) {
       out->from = peer_;
-      out->payload = std::move(state_->queue.front());
+      out->payload = ByteLease(std::move(state_->queue.front()));
       out->eos = false;
       state_->queue.pop_front();
       *got = true;
@@ -178,7 +178,7 @@ class InprocRecvLink final : public RecvLink {
     if (state_->closed && !eos_delivered_) {
       eos_delivered_ = true;
       out->from = peer_;
-      out->payload.clear();
+      out->payload.reset();
       out->eos = true;
       *got = true;
       return Status::ok();
@@ -249,7 +249,7 @@ class ShmRecvLink final : public RecvLink {
   }
 
   Status try_receive(Message* out, bool* got) override {
-    std::vector<std::byte> payload;
+    ByteLease payload;
     const Status st =
         channel_->receive_for(&payload, std::chrono::nanoseconds(0));
     if (st.code() == ErrorCode::kTimeout) {
@@ -263,7 +263,7 @@ class ShmRecvLink final : public RecvLink {
       }
       eos_delivered_ = true;
       out->from = peer_;
-      out->payload.clear();
+      out->payload.reset();
       out->eos = true;
       *got = true;
       return Status::ok();
@@ -551,7 +551,15 @@ class RdmaRecvLink final : public RecvLink {
       : peer_(std::move(peer)),
         sender_nic_name_(std::move(sender_nic_name)),
         options_(options),
-        nic_(std::move(nic)) {}
+        nic_(std::move(nic)),
+        recv_cache_(std::make_shared<nnti::RegistrationCache>(
+            nic_.get(), options.rdma_pool_bytes)) {}
+
+  ~RdmaRecvLink() override {
+    // Leased receive buffers outlive the link (and its NIC); from here on
+    // their release frees them instead of pooling them.
+    recv_cache_->detach();
+  }
 
   Status try_receive(Message* out, bool* got) override {
     *got = false;
@@ -563,15 +571,18 @@ class RdmaRecvLink final : public RecvLink {
     ByteView payload;
     FLEXIO_RETURN_IF_ERROR(decode_rdma_control(ByteView(raw), &ctl, &payload));
     switch (ctl.tag) {
-      case RdmaTag::kEager:
+      case RdmaTag::kEager: {
         if (ctl.seq <= last_data_seq_) return Status::ok();  // duplicate frame
         last_data_seq_ = ctl.seq;
+        // Lease the polled queue frame itself, narrowed past the header.
+        const std::size_t header = raw.size() - payload.size();
         out->from = peer_;
-        out->payload.assign(payload.begin(), payload.end());
+        out->payload = ByteLease(std::move(raw)).subspan(header);
         out->eos = false;
         *got = true;
         if (metrics::enabled()) recv_msgs_counter().inc();
         return Status::ok();
+      }
       case RdmaTag::kRendezvous: {
         // Duplicate detection matters most here: the first copy of the
         // frame was Get+acked already, so the sender may have reused (or
@@ -579,14 +590,20 @@ class RdmaRecvLink final : public RecvLink {
         if (ctl.seq <= last_data_seq_) return Status::ok();
         last_data_seq_ = ctl.seq;
         // Receiver-directed Get (paper: "we use receiver-directed RDMA Get
-        // for data movement"), then ack so the sender can reuse its buffer.
-        out->payload.resize(ctl.len);
+        // for data movement") into a persistent registered buffer, then ack
+        // so the sender can reuse its buffer. The message leases the
+        // receive buffer; the last lease hands it back to the cache.
+        auto buffer = recv_cache_->acquire(ctl.len);
+        if (!buffer.is_ok()) return buffer.status();
+        const nnti::RegisteredBuffer buf = buffer.value();
+        std::shared_ptr<const void> owner(
+            buf.data, [cache = recv_cache_, buf](const void*) {
+              cache->release(buf);
+            });
+        const MutableByteView target(buf.data, ctl.len);
         LinkStats dummy;
         FLEXIO_RETURN_IF_ERROR(with_retries(
-            [&] {
-              return nic_->get(sender_nic_name_, ctl.region, 0,
-                               MutableByteView(out->payload));
-            },
+            [&] { return nic_->get(sender_nic_name_, ctl.region, 0, target); },
             options_.max_retries, &dummy));
         serial::BufWriter w;
         encode_rdma_control(RdmaControl{RdmaTag::kAck, ctl.seq, 0, {}}, {}, &w);
@@ -594,6 +611,7 @@ class RdmaRecvLink final : public RecvLink {
             [&] { return nic_->put_message(sender_nic_name_, w.view()); },
             options_.max_retries, &dummy));
         out->from = peer_;
+        out->payload = ByteLease(ByteView(target), std::move(owner));
         out->eos = false;
         *got = true;
         if (metrics::enabled()) recv_msgs_counter().inc();
@@ -601,7 +619,7 @@ class RdmaRecvLink final : public RecvLink {
       }
       case RdmaTag::kEos:
         out->from = peer_;
-        out->payload.clear();
+        out->payload.reset();
         out->eos = true;
         *got = true;
         return Status::ok();
@@ -619,6 +637,9 @@ class RdmaRecvLink final : public RecvLink {
   std::string sender_nic_name_;
   LinkOptions options_;
   std::shared_ptr<nnti::Nic> nic_;
+  // Persistent Get targets, bounded by rdma_pool_bytes like the sender's
+  // cache. Shared with every lease over one of its buffers.
+  std::shared_ptr<nnti::RegistrationCache> recv_cache_;
   // Highest data-frame sequence seen; eager and rendezvous frames share one
   // monotone per-link sequence, so anything at or below it is a duplicate.
   std::uint64_t last_data_seq_ = 0;

@@ -84,7 +84,9 @@ make_shm_link(std::string peer_name, LinkOptions options);
 
 /// Create a matched pair over the NNTI fabric. `sender_nic` and
 /// `receiver_nic` are dedicated per-link NICs (pairwise message queues,
-/// like NNTI connections); the send side owns a registration cache.
+/// like NNTI connections). Each side owns a registration cache: the sender
+/// stages rendezvous data in its buffers, the receiver Gets into its own
+/// and leases them up the stack.
 std::pair<std::unique_ptr<SendLink>, std::unique_ptr<RecvLink>>
 make_rdma_link(std::string peer_name, LinkOptions options,
                std::shared_ptr<nnti::Nic> sender_nic,

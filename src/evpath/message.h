@@ -2,8 +2,8 @@
 #pragma once
 
 #include <string>
-#include <vector>
 
+#include "util/byte_lease.h"
 #include "util/common.h"
 
 namespace flexio::evpath {
@@ -25,10 +25,14 @@ enum class TransportKind { kInproc, kShm, kRdma };
 std::string_view transport_kind_name(TransportKind kind);
 
 /// One received message. `eos` marks the peer's clean close of the link;
-/// payload is empty in that case.
+/// payload is empty in that case. The payload is a lease over the memory
+/// the transport received into (shm pool slot, rdma receive buffer, inproc
+/// queue entry, or the one copy an shm inline or XPMEM receive makes):
+/// building a Message copies nothing more, and the memory returns to its
+/// transport when the last copy of the lease drops.
 struct Message {
   std::string from;
-  std::vector<std::byte> payload;
+  ByteLease payload;
   bool eos = false;
 };
 

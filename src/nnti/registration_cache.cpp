@@ -8,7 +8,8 @@ namespace flexio::nnti {
 
 namespace {
 // Process-wide hit/miss/eviction accounting across every cache instance
-// (each RDMA send link owns one); the per-instance stats() stays exact.
+// (each side of an RDMA link owns one); the per-instance stats() stays
+// exact.
 metrics::Counter& hit_counter() {
   static metrics::Counter& c = metrics::counter("nnti.regcache.hits");
   return c;
@@ -21,6 +22,13 @@ metrics::Counter& evict_counter() {
   static metrics::Counter& c = metrics::counter("nnti.regcache.evictions");
   return c;
 }
+// Bytes handed out and not yet released, across every cache: send-side
+// rendezvous buffers awaiting their ack plus receive-side buffers still
+// leased by the reader.
+metrics::Gauge& in_use_gauge() {
+  static metrics::Gauge& g = metrics::gauge("nnti.regcache.bytes_in_use");
+  return g;
+}
 }  // namespace
 
 RegistrationCache::RegistrationCache(Nic* nic, std::size_t capacity_bytes)
@@ -29,13 +37,20 @@ RegistrationCache::RegistrationCache(Nic* nic, std::size_t capacity_bytes)
   FLEXIO_CHECK(capacity_bytes >= kMinClassBytes);
 }
 
-RegistrationCache::~RegistrationCache() {
+RegistrationCache::~RegistrationCache() { detach(); }
+
+void RegistrationCache::detach() {
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (nic_ == nullptr) return;
   for (auto& shelf : shelves_) {
     for (FreeEntry& entry : shelf) {
       (void)nic_->unregister_memory(entry.buf.region);
       delete[] entry.buf.data;
+      stats_.bytes_held -= entry.buf.capacity;
     }
+    shelf.clear();
   }
+  nic_ = nullptr;
 }
 
 std::uint32_t RegistrationCache::class_for(std::size_t size) {
@@ -54,18 +69,28 @@ StatusOr<RegisteredBuffer> RegistrationCache::acquire(std::size_t size) {
   const std::size_t cap = class_capacity(cls);
 
   std::lock_guard<std::mutex> lock(mutex_);
+  if (nic_ == nullptr) {
+    return make_error(ErrorCode::kFailedPrecondition,
+                      "registration cache detached from its nic");
+  }
   ++stats_.acquisitions;
-  if (cls >= shelves_.size()) shelves_.resize(cls + 1);
-  auto& shelf = shelves_[cls];
+  if (cls + 1 >= shelves_.size()) shelves_.resize(cls + 2);
+  // One class up at most: a buffer never serves less than a quarter of its
+  // capacity.
+  auto& shelf = shelves_[cls].empty() ? shelves_[cls + 1] : shelves_[cls];
   if (!shelf.empty()) {
-    // Reuse the most recently released buffer of this class (the back of
-    // the shelf carries the largest stamp: releases push_back in order).
+    // Reuse the most recently released buffer of the shelf (the back
+    // carries the largest stamp: releases push_back in order).
     RegisteredBuffer buf = shelf.back().buf;
     shelf.pop_back();
     ++stats_.hits;
+    stats_.bytes_in_use += buf.capacity;
     // Gate outside the accessor so the disabled fast path stays one
     // load+branch (no static-init guard load).
-    if (metrics::enabled()) hit_counter().inc();
+    if (metrics::enabled()) {
+      hit_counter().inc();
+      in_use_gauge().add(static_cast<std::int64_t>(buf.capacity));
+    }
     return buf;
   }
   ++stats_.misses;
@@ -86,12 +111,25 @@ StatusOr<RegisteredBuffer> RegistrationCache::acquire(std::size_t size) {
   buf.region = region.value();
   ++stats_.registrations;
   stats_.bytes_held += cap;
+  stats_.bytes_in_use += cap;
+  if (metrics::enabled()) in_use_gauge().add(static_cast<std::int64_t>(cap));
   return buf;
 }
 
 void RegistrationCache::release(RegisteredBuffer buffer) {
   if (!buffer) return;
   std::lock_guard<std::mutex> lock(mutex_);
+  FLEXIO_CHECK(stats_.bytes_in_use >= buffer.capacity);
+  stats_.bytes_in_use -= buffer.capacity;
+  if (metrics::enabled()) {
+    in_use_gauge().sub(static_cast<std::int64_t>(buffer.capacity));
+  }
+  if (nic_ == nullptr) {
+    // Detached: there is no pool to return to.
+    delete[] buffer.data;
+    stats_.bytes_held -= buffer.capacity;
+    return;
+  }
   if (stats_.bytes_held > capacity_bytes_) {
     reclaim_locked(buffer);
     return;

@@ -34,26 +34,38 @@ struct RegistrationCacheStats {
   std::uint64_t registrations = 0;  // fresh allocate+register
   std::uint64_t reclamations = 0;   // freed+deregistered over threshold
   std::size_t bytes_held = 0;       // free + in-use
+  std::size_t bytes_in_use = 0;     // acquired, not yet released
 };
 
 class RegistrationCache {
  public:
-  /// `nic` must outlive the cache. `capacity_bytes` is the reclamation
-  /// threshold on total held memory.
+  /// `nic` must outlive the cache, or at least its detach(). The cache is
+  /// thread-safe. `capacity_bytes` is the reclamation threshold on total
+  /// held memory.
   RegistrationCache(Nic* nic, std::size_t capacity_bytes);
   ~RegistrationCache();
 
   RegistrationCache(const RegistrationCache&) = delete;
   RegistrationCache& operator=(const RegistrationCache&) = delete;
 
-  /// A registered buffer with capacity >= size, reused when possible.
-  /// Within a size class the most recently released buffer is reused first
-  /// (it is the most likely to be cache- and TLB-warm).
+  /// A registered buffer with capacity >= size, reused when possible: a
+  /// free buffer of the request's size class, else one of the next class
+  /// up (the closest size that fits, paper Section II.E), so sizes that
+  /// straddle a class boundary share one registration instead of evicting
+  /// each other. Within a class the most recently released buffer is
+  /// reused first (it is the most likely to be cache- and TLB-warm).
   StatusOr<RegisteredBuffer> acquire(std::size_t size);
 
   /// Return a buffer to the pool (kept registered) or reclaim it when the
-  /// pool is over threshold (freed and deregistered).
+  /// pool is over threshold (freed and deregistered). After detach() the
+  /// buffer is freed instead.
   void release(RegisteredBuffer buffer);
+
+  /// Let go of the NIC: deregister and free every pooled buffer now, and
+  /// free (not pool) each buffer still handed out when it is released. For
+  /// a cache whose buffers outlive its NIC -- the receive side leases them
+  /// past its link's teardown. acquire() fails after detach.
+  void detach();
 
   RegistrationCacheStats stats() const;
 

@@ -37,10 +37,18 @@ Status BufReader::get_varint(std::uint64_t* v) {
   return Status::ok();
 }
 
+Status BufReader::get_count(std::uint64_t* n) {
+  FLEXIO_RETURN_IF_ERROR(get_varint(n));
+  if (*n > remaining()) {
+    return make_error(ErrorCode::kOutOfRange, "element count underrun");
+  }
+  return Status::ok();
+}
+
 Status BufReader::get_string(std::string* s) {
   std::uint64_t n = 0;
   FLEXIO_RETURN_IF_ERROR(get_varint(&n));
-  if (pos_ + n > data_.size()) {
+  if (n > remaining()) {
     return make_error(ErrorCode::kOutOfRange, "string underrun");
   }
   s->assign(reinterpret_cast<const char*>(data_.data() + pos_),

@@ -116,12 +116,18 @@ class BufReader {
   Status get_f64(double* v) { return get_raw(v, sizeof *v); }
 
   Status get_varint(std::uint64_t* v);
+  /// A varint element count, rejected when it exceeds the bytes left (every
+  /// element takes at least one), so a corrupt count cannot size a huge
+  /// allocation before the element reads fail.
+  Status get_count(std::uint64_t* n);
   Status get_string(std::string* s);
   /// Returns a view into the underlying buffer (no copy).
   Status get_bytes(ByteView* bytes);
 
+  // Bounds checks compare against remaining(): a length read off the wire
+  // can be near 2^64, and pos_ + n would wrap past the check.
   Status get_raw(void* out, std::size_t n) {
-    if (pos_ + n > data_.size()) {
+    if (n > remaining()) {
       return make_error(ErrorCode::kOutOfRange, "buffer underrun");
     }
     std::memcpy(out, data_.data() + pos_, n);
@@ -131,7 +137,7 @@ class BufReader {
 
   /// Borrow `n` bytes without copying.
   Status get_view(std::size_t n, ByteView* out) {
-    if (pos_ + n > data_.size()) {
+    if (n > remaining()) {
       return make_error(ErrorCode::kOutOfRange, "buffer underrun");
     }
     *out = data_.subspan(pos_, n);

@@ -36,7 +36,28 @@ Channel::Channel(ChannelOptions options)
       queue_(options.queue_entries,
              std::max(options.queue_payload_bytes,
                       kControlBytes + options.inline_threshold)),
-      pool_(options.pool_bytes) {}
+      pool_(std::make_shared<BufferPool>(options.pool_bytes)) {}
+
+Channel::~Channel() {
+  std::vector<std::byte> wire;
+  while (queue_.try_dequeue(&wire)) {
+    Control ctl{};
+    ByteView inline_payload;
+    if (decode_control(ByteView(wire), &ctl, &inline_payload).is_ok() &&
+        ctl.tag == Tag::kPool) {
+      pool_->release(pool_buffer_of(ctl));
+    }
+  }
+}
+
+PoolBuffer Channel::pool_buffer_of(const Control& ctl) {
+  PoolBuffer buf;
+  buf.data = reinterpret_cast<std::byte*>(ctl.addr);
+  buf.capacity = ctl.pool_capacity;
+  buf.size_class = ctl.pool_class;
+  buf.id = ctl.pool_id;
+  return buf;
+}
 
 void Channel::encode_control(const Control& ctl, std::span<const ByteView> frags,
                              std::vector<std::byte>* out) {
@@ -147,9 +168,9 @@ Status Channel::send(ByteView msg) {
     copies_.fetch_add(2, std::memory_order_relaxed);  // in + out of entry
     return send_control(ctl, msg);
   }
-  // Pool path: copy into a pooled buffer (copy #1); the consumer copies out
-  // (copy #2) and returns the buffer to our free list.
-  auto buffer = pool_.acquire(msg.size());
+  // Pool path: copy into a pooled buffer, the only copy; the consumer leases
+  // the buffer and its last lease returns it to our free list.
+  auto buffer = pool_->acquire(msg.size());
   if (!buffer.is_ok()) return buffer.status();
   PoolBuffer buf = buffer.value();
   std::memcpy(buf.data, msg.data(), msg.size());
@@ -161,9 +182,9 @@ Status Channel::send(ByteView msg) {
   ctl.pool_id = buf.id;
   pool_sends_.fetch_add(1, std::memory_order_relaxed);
   bytes_sent_.fetch_add(msg.size(), std::memory_order_relaxed);
-  copies_.fetch_add(2, std::memory_order_relaxed);
+  copies_.fetch_add(1, std::memory_order_relaxed);
   const Status st = send_control(ctl, ByteView{});
-  if (!st.is_ok()) pool_.release(buf);  // undo so the buffer is not leaked
+  if (!st.is_ok()) pool_->release(buf);  // undo so the buffer is not leaked
   return st;
 }
 
@@ -206,9 +227,9 @@ Status Channel::send_iov(std::span<const ByteView> frags) {
     copies_.fetch_add(2, std::memory_order_relaxed);  // in + out of entry
     return send_control(ctl, frags);
   }
-  // Pool path: gather the fragments directly into the pooled buffer
-  // (copy #1); the consumer copies out (copy #2) as usual.
-  auto buffer = pool_.acquire(total);
+  // Pool path: gather the fragments directly into the pooled buffer, the
+  // only copy; the consumer leases it as usual.
+  auto buffer = pool_->acquire(total);
   if (!buffer.is_ok()) return buffer.status();
   PoolBuffer buf = buffer.value();
   iov_gather(frags, buf.data);
@@ -220,9 +241,9 @@ Status Channel::send_iov(std::span<const ByteView> frags) {
   ctl.pool_id = buf.id;
   pool_sends_.fetch_add(1, std::memory_order_relaxed);
   bytes_sent_.fetch_add(total, std::memory_order_relaxed);
-  copies_.fetch_add(2, std::memory_order_relaxed);
+  copies_.fetch_add(1, std::memory_order_relaxed);
   const Status st = send_control(ctl, ByteView{});
-  if (!st.is_ok()) pool_.release(buf);
+  if (!st.is_ok()) pool_->release(buf);
   return st;
 }
 
@@ -258,12 +279,11 @@ Status Channel::send_sync_iov(std::span<const ByteView> frags) {
   return wait_ack(ack);
 }
 
-Status Channel::receive(std::vector<std::byte>* out) {
+Status Channel::receive(ByteLease* out) {
   return receive_for(out, options_.timeout);
 }
 
-Status Channel::receive_for(std::vector<std::byte>* out,
-                            std::chrono::nanoseconds timeout) {
+Status Channel::receive_for(ByteLease* out, std::chrono::nanoseconds timeout) {
   if (eos_received_) {
     return make_error(ErrorCode::kEndOfStream, "stream closed by producer");
   }
@@ -273,37 +293,40 @@ Status Channel::receive_for(std::vector<std::byte>* out,
   ByteView inline_payload;
   FLEXIO_RETURN_IF_ERROR(decode_control(ByteView(wire), &ctl, &inline_payload));
   switch (ctl.tag) {
-    case Tag::kInline:
-      out->assign(inline_payload.begin(),
-                  inline_payload.begin() + static_cast<std::ptrdiff_t>(ctl.size));
+    case Tag::kInline: {
+      // The dequeue already copied the entry out of the ring: lease that
+      // copy, narrowed past the control header.
+      if (ctl.size > inline_payload.size()) {
+        return make_error(ErrorCode::kInternal, "short shm inline message");
+      }
+      *out = ByteLease(std::move(wire)).subspan(kControlBytes, ctl.size);
       return Status::ok();
+    }
     case Tag::kPool: {
-      auto* data = reinterpret_cast<std::byte*>(ctl.addr);
-      out->resize(ctl.size);
-      std::memcpy(out->data(), data, ctl.size);
-      PoolBuffer buf;
-      buf.data = data;
-      buf.capacity = ctl.pool_capacity;
-      buf.size_class = ctl.pool_class;
-      buf.id = ctl.pool_id;
-      pool_.release(buf);  // back to the producer's free list
+      // Hand the slot itself up the stack; the last lease returns it to the
+      // producer's free list, from whichever thread drops it.
+      const PoolBuffer buf = pool_buffer_of(ctl);
+      std::shared_ptr<const void> owner(
+          buf.data, [pool = pool_, buf](const void*) { pool->release(buf); });
+      *out = ByteLease(ByteView(buf.data, ctl.size), std::move(owner));
       return Status::ok();
     }
     case Tag::kXpmem: {
       // "Map" the producer's segment and copy straight from its source
       // buffer, then ack so the producer may reuse it.
       const auto* src = reinterpret_cast<const std::byte*>(ctl.addr);
-      out->assign(src, src + ctl.size);
+      std::vector<std::byte> copy(src, src + ctl.size);
       auto* ack = reinterpret_cast<std::atomic<std::uint32_t>*>(ctl.ack_addr);
       ack->store(1, std::memory_order_release);
+      *out = ByteLease(std::move(copy));
       return Status::ok();
     }
     case Tag::kXpmemIov: {
       // Gather every published fragment straight out of the producer's
       // buffers, then ack. pool_id carries the segment count.
       const auto* segs = reinterpret_cast<const XpmemSeg*>(ctl.addr);
-      out->resize(ctl.size);
-      std::byte* dst = out->data();
+      std::vector<std::byte> copy(ctl.size);
+      std::byte* dst = copy.data();
       for (std::uint64_t i = 0; i < ctl.pool_id; ++i) {
         std::memcpy(dst, reinterpret_cast<const std::byte*>(segs[i].addr),
                     segs[i].len);
@@ -311,6 +334,7 @@ Status Channel::receive_for(std::vector<std::byte>* out,
       }
       auto* ack = reinterpret_cast<std::atomic<std::uint32_t>*>(ctl.ack_addr);
       ack->store(1, std::memory_order_release);
+      *out = ByteLease(std::move(copy));
       return Status::ok();
     }
     case Tag::kEos:

@@ -3,10 +3,10 @@
 // Implements the paper's full shared-memory transport protocol
 // (Section II.D) for one producer -> consumer direction:
 //  * small messages ride inline in FastForward data-queue entries;
-//  * large asynchronous messages go through the shared buffer pool
-//    (producer copy-in + consumer copy-out = the paper's "two memory
-//    copies"), with the consumer returning the buffer to the producer's
-//    free list;
+//  * large asynchronous messages go through the shared buffer pool: the
+//    producer copies in, and the consumer receives a lease over the pool
+//    slot itself instead of copying out (the paper's second copy). The
+//    slot returns to the producer's free list when the lease drops;
 //  * large synchronous messages can use the XPMEM-style path: the producer
 //    publishes its source buffer as a segment and blocks until the consumer
 //    copies directly out of it ("one memory copy"), mirroring
@@ -26,6 +26,7 @@
 
 #include "shm/buffer_pool.h"
 #include "shm/spsc_queue.h"
+#include "util/byte_lease.h"
 #include "util/status.h"
 
 namespace flexio::shm {
@@ -37,6 +38,7 @@ struct ChannelStats {
   std::uint64_t xpmem_sends = 0;
   std::uint64_t bytes_sent = 0;
   std::uint64_t memory_copies = 0;  // copies of message payloads, both sides
+                                    // (inline 2, pool 1, xpmem 1)
 };
 
 /// Tuning knobs, fed from the XML method config.
@@ -55,6 +57,11 @@ struct ChannelOptions {
 class Channel {
  public:
   explicit Channel(ChannelOptions options);
+  /// Hands the slots of pool messages still queued -- never received,
+  /// because the consumer went away mid-stream -- back to the pool.
+  ~Channel();
+  Channel(const Channel&) = delete;
+  Channel& operator=(const Channel&) = delete;
 
   /// Asynchronous send: returns once the message is enqueued (inline) or
   /// copied into a pool buffer. The caller may reuse `msg` immediately.
@@ -75,13 +82,16 @@ class Channel {
   Status send_sync_iov(std::span<const ByteView> frags);
 
   /// Receive the next message. Returns kEndOfStream after close() has been
-  /// received, kTimeout if nothing arrives in time.
-  Status receive(std::vector<std::byte>* out);
+  /// received, kTimeout if nothing arrives in time. A pool message arrives
+  /// as a lease over its pool slot (no copy-out): the slot stays busy until
+  /// the last copy of the lease drops, and the lease keeps the pool alive
+  /// past this channel's destruction. Inline and XPMEM messages lease the
+  /// single copy the consumer made of them.
+  Status receive(ByteLease* out);
 
   /// Like receive() but with an explicit deadline; a zero timeout polls once
   /// (used by upper layers multiplexing several inbound links).
-  Status receive_for(std::vector<std::byte>* out,
-                     std::chrono::nanoseconds timeout);
+  Status receive_for(ByteLease* out, std::chrono::nanoseconds timeout);
 
   /// Signal end-of-stream to the consumer (paper: analytics see EOS from
   /// their read calls when the simulation closes the file).
@@ -99,6 +109,9 @@ class Channel {
   }
 
   ChannelStats stats() const;
+  /// Occupancy of the producer's buffer pool; bytes_in_use counts the pool
+  /// messages in flight plus the slots still leased by the consumer.
+  PoolStats pool_stats() const { return pool_->stats(); }
   const ChannelOptions& options() const { return options_; }
 
  private:
@@ -128,10 +141,13 @@ class Channel {
                              std::vector<std::byte>* out);
   static Status decode_control(ByteView raw, Control* ctl,
                                ByteView* inline_payload);
+  static PoolBuffer pool_buffer_of(const Control& ctl);
 
   ChannelOptions options_;
   SpscQueue queue_;
-  BufferPool pool_;
+  // Shared with every outstanding pool-slot lease, so a slot can return to
+  // the free list after the channel itself is gone.
+  std::shared_ptr<BufferPool> pool_;
 
   std::atomic<std::uint64_t> bytes_sent_{0};
   std::atomic<std::uint64_t> inline_sends_{0};

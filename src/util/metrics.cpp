@@ -128,11 +128,29 @@ double HistogramSnapshot::quantile(double q) const {
 
 // -------------------------------------------------------------- Registry --
 
-/// Global name->metric maps. Metrics are never destroyed (call sites hold
-/// references for the life of the process), so the registry leaks by design
-/// to dodge static-destruction order. Not in an anonymous namespace: the
-/// metric classes befriend flexio::metrics::Registry to expose their
-/// private constructors.
+namespace {
+
+std::atomic<std::size_t> g_live_metrics{0};
+
+/// Own a freshly constructed metric, counting it while it lives.
+template <typename Metric>
+std::shared_ptr<Metric> make_metric(Metric* m) {
+  g_live_metrics.fetch_add(1, std::memory_order_relaxed);
+  return std::shared_ptr<Metric>(m, [](Metric* dead) {
+    g_live_metrics.fetch_sub(1, std::memory_order_relaxed);
+    delete dead;
+  });
+}
+
+}  // namespace
+
+/// Global name->metric maps. A registered metric is never destroyed (call
+/// sites hold plain references for the life of the process), so the
+/// registry leaks by design to dodge static-destruction order. Only
+/// unregister_metric lets go of one, and only Family series are ever
+/// unregistered; their holders keep shared handles. Not in an anonymous
+/// namespace: the metric classes befriend flexio::metrics::Registry to
+/// expose their private constructors.
 class Registry {
  public:
   static Registry& instance() {
@@ -140,24 +158,24 @@ class Registry {
     return *r;
   }
 
-  Counter& counter(std::string_view name) {
+  std::shared_ptr<Counter> counter(std::string_view name) {
     std::lock_guard<std::mutex> lock(mutex_);
     auto [it, inserted] = counters_.try_emplace(std::string(name), nullptr);
-    if (inserted) it->second.reset(new Counter);
-    return *it->second;
+    if (inserted) it->second = make_metric(new Counter);
+    return it->second;
   }
 
-  Gauge& gauge(std::string_view name) {
+  std::shared_ptr<Gauge> gauge(std::string_view name) {
     std::lock_guard<std::mutex> lock(mutex_);
     auto [it, inserted] = gauges_.try_emplace(std::string(name), nullptr);
-    if (inserted) it->second.reset(new Gauge);
-    return *it->second;
+    if (inserted) it->second = make_metric(new Gauge);
+    return it->second;
   }
 
   Histogram& histogram(std::string_view name) {
     std::lock_guard<std::mutex> lock(mutex_);
     auto [it, inserted] = histograms_.try_emplace(std::string(name), nullptr);
-    if (inserted) it->second.reset(new Histogram);
+    if (inserted) it->second = make_metric(new Histogram);
     return *it->second;
   }
 
@@ -194,41 +212,25 @@ class Registry {
 
   bool unregister_metric(const std::string& name) {
     std::lock_guard<std::mutex> lock(mutex_);
-    // Leak the object (release before erase): call sites cache references
-    // for the life of the process, and a retired stream's cached gauge
-    // pointer must stay writable even though nothing scrapes it anymore.
-    if (auto it = counters_.find(name); it != counters_.end()) {
-      it->second.release();
-      counters_.erase(it);
-      return true;
-    }
-    if (auto it = gauges_.find(name); it != gauges_.end()) {
-      it->second.release();
-      gauges_.erase(it);
-      return true;
-    }
-    if (auto it = histograms_.find(name); it != histograms_.end()) {
-      it->second.release();
-      histograms_.erase(it);
-      return true;
-    }
-    return false;
+    return counters_.erase(name) + gauges_.erase(name) +
+               histograms_.erase(name) >
+           0;
   }
 
  private:
   Registry() = default;
   std::mutex mutex_;
-  std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_;
-  std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges_;
-  std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_;
+  std::map<std::string, std::shared_ptr<Counter>, std::less<>> counters_;
+  std::map<std::string, std::shared_ptr<Gauge>, std::less<>> gauges_;
+  std::map<std::string, std::shared_ptr<Histogram>, std::less<>> histograms_;
 };
 
 Counter& counter(std::string_view name) {
-  return Registry::instance().counter(name);
+  return *Registry::instance().counter(name);
 }
 
 Gauge& gauge(std::string_view name) {
-  return Registry::instance().gauge(name);
+  return *Registry::instance().gauge(name);
 }
 
 Histogram& histogram(std::string_view name) {
@@ -244,6 +246,18 @@ void reset_all() { Registry::instance().reset_all(); }
 namespace detail {
 bool unregister_metric(const std::string& name) {
   return Registry::instance().unregister_metric(name);
+}
+
+std::shared_ptr<Counter> shared_counter(std::string_view name) {
+  return Registry::instance().counter(name);
+}
+
+std::shared_ptr<Gauge> shared_gauge(std::string_view name) {
+  return Registry::instance().gauge(name);
+}
+
+std::size_t live_metric_objects() {
+  return g_live_metrics.load(std::memory_order_relaxed);
 }
 }  // namespace detail
 

@@ -22,6 +22,7 @@
 #include <atomic>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -218,13 +219,22 @@ Gauge& gauge(std::string_view name);
 Histogram& histogram(std::string_view name);
 
 namespace detail {
-/// Drop a metric from the registry maps without destroying it (references
-/// handed out earlier stay valid; the object is leaked). Future snapshots
-/// and scrapes no longer include the name; a later lookup under the same
-/// name creates a fresh metric. Used by Family::retire when a labeled
-/// series (a closed stream's gauges) ends its life. Returns false when the
-/// name is not registered.
+/// Drop a metric from the registry maps. Future snapshots and scrapes no
+/// longer include the name; a later lookup under the same name creates a
+/// fresh metric. The registry lets go of the object: it lives on only while
+/// a handle from shared_counter()/shared_gauge() holds it. Used by
+/// Family::retire when a labeled series (a closed stream's gauges) ends its
+/// life. Returns false when the name is not registered.
 bool unregister_metric(const std::string& name);
+
+/// Shared handles to the registry metric `name`; they keep it writable (but
+/// unscraped) after unregister_metric, and the last one frees it.
+std::shared_ptr<Counter> shared_counter(std::string_view name);
+std::shared_ptr<Gauge> shared_gauge(std::string_view name);
+
+/// Counter, gauge and histogram objects alive in the process, registered or
+/// retired-but-held (for leak tests).
+std::size_t live_metric_objects();
 }  // namespace detail
 
 /// Bounded-cardinality label family: with(label) resolves to the registry
@@ -235,8 +245,8 @@ bool unregister_metric(const std::string& name);
 /// first-named: which labels get their own series depends on registration
 /// order, which is what a per-process family wants (the first N streams a
 /// process hosts are the ones worth telling apart; the long tail
-/// aggregates). Thread-safe; callers should cache the returned reference,
-/// exactly like the static-ref idiom used with counter()/gauge().
+/// aggregates). Thread-safe; callers resolve a label once and cache the
+/// result -- a share() handle when the label may be retired under them.
 template <typename Metric>
 class Family {
  public:
@@ -245,28 +255,34 @@ class Family {
   Family(const Family&) = delete;
   Family& operator=(const Family&) = delete;
 
-  /// The metric for `label` (stable for the life of the process).
-  Metric& with(std::string_view label) {
+  /// The metric for `label`. Stable until retire(label); a holder that may
+  /// outlive the retirement takes share() instead.
+  Metric& with(std::string_view label) { return *share(label); }
+
+  /// Shared ownership of the metric for `label` (the rollover bucket past
+  /// the cap). A retired series stays writable through its handles, is no
+  /// longer scraped, and is freed with the last handle.
+  std::shared_ptr<Metric> share(std::string_view label) {
     std::lock_guard<std::mutex> lock(mutex_);
     if (const auto it = resolved_.find(label); it != resolved_.end()) {
-      return *it->second;
+      return it->second;
     }
     if (resolved_.size() < max_labels_) {
-      Metric& m = lookup(base_ + "." + std::string(label));
-      resolved_.emplace(std::string(label), &m);
+      auto m = lookup(base_ + "." + std::string(label));
+      resolved_.emplace(std::string(label), m);
       return m;
     }
-    if (other_ == nullptr) other_ = &lookup(base_ + ".other");
-    return *other_;
+    if (other_ == nullptr) other_ = lookup(base_ + ".other");
+    return other_;
   }
 
   /// Retire `label`: forget it (freeing its cardinality slot for a future
   /// label) and drop its `<base>.<label>` series from registry snapshots,
   /// so a scrape of a long-lived process stops showing closed streams as
-  /// live. The metric object itself is leaked, not destroyed -- cached
-  /// references stay valid; they just stop being scraped. A later with()
-  /// of the same label starts a fresh series. Returns false when the label
-  /// never had its own series (unknown, or rolled into `.other`).
+  /// live. The metric object is freed once no share() handle holds it. A
+  /// later with() of the same label starts a fresh series. Returns false
+  /// when the label never had its own series (unknown, or rolled into
+  /// `.other`).
   bool retire(std::string_view label) {
     std::lock_guard<std::mutex> lock(mutex_);
     const auto it = resolved_.find(label);
@@ -283,25 +299,26 @@ class Family {
   }
 
  private:
-  Metric& lookup(const std::string& name);
+  std::shared_ptr<Metric> lookup(const std::string& name);
 
   const std::string base_;
   const std::size_t max_labels_;
   mutable std::mutex mutex_;
-  std::map<std::string, Metric*, std::less<>> resolved_;
-  Metric* other_ = nullptr;
+  std::map<std::string, std::shared_ptr<Metric>, std::less<>> resolved_;
+  std::shared_ptr<Metric> other_;
 };
 
 using CounterFamily = Family<Counter>;
 using GaugeFamily = Family<Gauge>;
 
 template <>
-inline Counter& Family<Counter>::lookup(const std::string& name) {
-  return counter(name);
+inline std::shared_ptr<Counter> Family<Counter>::lookup(
+    const std::string& name) {
+  return detail::shared_counter(name);
 }
 template <>
-inline Gauge& Family<Gauge>::lookup(const std::string& name) {
-  return gauge(name);
+inline std::shared_ptr<Gauge> Family<Gauge>::lookup(const std::string& name) {
+  return detail::shared_gauge(name);
 }
 
 /// One entry of a full-registry snapshot.

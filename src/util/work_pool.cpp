@@ -48,7 +48,7 @@ WorkPool::~WorkPool() {
     {
       std::lock_guard<std::mutex> lock(mutex_);
       if (detached_.empty()) break;
-      fn = std::move(detached_.front());
+      fn = std::move(detached_.front().fn);
       detached_.pop_front();
     }
     fn();
@@ -63,12 +63,14 @@ WorkPool::~WorkPool() {
 void WorkPool::submit(std::function<void()> fn) {
   bool inline_run = threads_.empty();
   if (!inline_run) {
+    std::optional<std::uint64_t> submit_ns;
+    if (metrics::enabled()) submit_ns = metrics::now_ns();
     std::lock_guard<std::mutex> lock(mutex_);
     if (stop_) {
       inline_run = true;  // racing shutdown: the destructor may already be
                           // past its queue drain, so do not enqueue
     } else {
-      detached_.push_back(std::move(fn));
+      detached_.push_back(Detached{std::move(fn), submit_ns});
     }
   }
   if (inline_run) {
@@ -90,11 +92,14 @@ void WorkPool::worker_loop() {
     // never deadlocks) and the destructor drains leftover detached tasks.
     if (stop_) return;
     if (!detached_.empty()) {
-      std::function<void()> fn = std::move(detached_.front());
+      Detached task = std::move(detached_.front());
       detached_.pop_front();
       lock.unlock();
       const std::uint64_t claim_ns = metrics::now_ns();
-      fn();
+      if (task.submit_ns) {
+        pool_queue_hist().record(claim_ns - *task.submit_ns);
+      }
+      task.fn();
       pool_exec_hist().record(metrics::now_ns() - claim_ns);
       pool_tasks_counter().inc();
       flight::maybe_sample();

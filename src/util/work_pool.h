@@ -24,8 +24,8 @@
 // while a long pack batch runs without a second sampler thread.
 //
 // Metrics: flexio.pool.tasks counts tasks executed; flexio.pool.queue_ns
-// (publish -> claim) and flexio.pool.exec_ns (claim -> finish) histograms
-// attribute where batch wall-clock goes.
+// (batch publish or submit -> claim) and flexio.pool.exec_ns (claim ->
+// finish) histograms attribute where task wall-clock goes.
 #pragma once
 
 #include <atomic>
@@ -35,6 +35,7 @@
 #include <exception>
 #include <functional>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -92,6 +93,12 @@ class WorkPool {
     std::uint64_t publish_ns = 0;
   };
 
+  struct Detached {
+    std::function<void()> fn;
+    // Enqueue time for flexio.pool.queue_ns; stamped only with metrics on.
+    std::optional<std::uint64_t> submit_ns;
+  };
+
   void worker_loop();
   void drain(Batch* batch);
 
@@ -99,7 +106,7 @@ class WorkPool {
   std::condition_variable work_cv_;  // workers wait here for work / stop
   std::condition_variable done_cv_;  // run_batch waits here for completion
   Batch* batch_ = nullptr;           // guarded by mutex_
-  std::deque<std::function<void()>> detached_;  // guarded by mutex_
+  std::deque<Detached> detached_;    // guarded by mutex_
   std::uint64_t generation_ = 0;     // bumped per published batch
   bool stop_ = false;
   std::vector<std::thread> threads_;

@@ -130,9 +130,9 @@ TEST(WireTest, AllMessagesRoundTrip) {
   piece.region = Box{{10}, {5}};
   piece.payload.resize(40);
   data.pieces.push_back(piece);
-  auto decoded_data = wire::decode_data(ByteView(wire::encode(data)));
+  auto decoded_data = wire::decode_data(ByteLease(wire::encode(data)));
   ASSERT_TRUE(decoded_data.is_ok());
-  EXPECT_EQ(decoded_data.value().pieces[0].payload.size(), 40u);
+  EXPECT_EQ(decoded_data.value().pieces[0].bytes().size(), 40u);
 
   EXPECT_EQ(wire::peek_type(ByteView(wire::encode_close(7))).value(),
             wire::MsgType::kClose);
@@ -177,7 +177,7 @@ TEST(WireTest, TraceContextTrailerRoundTrips) {
   piece.payload.resize(32);
   data.pieces.push_back(std::move(piece));
   data.trace = ctx;
-  auto dec_data = wire::decode_data(ByteView(wire::encode(data)));
+  auto dec_data = wire::decode_data(ByteLease(wire::encode(data)));
   ASSERT_TRUE(dec_data.is_ok());
   ASSERT_TRUE(dec_data.value().trace.has_value());
   EXPECT_EQ(dec_data.value().trace->send_ns, 123456u);
@@ -191,14 +191,14 @@ TEST(WireTest, TraceContextTrailerRoundTrips) {
     flat.insert(flat.end(), frag.begin(), frag.end());
   }
   EXPECT_EQ(flat, wire::encode(data));
-  auto dec_iov = wire::decode_data(ByteView(flat));
+  auto dec_iov = wire::decode_data(ByteLease(flat));
   ASSERT_TRUE(dec_iov.is_ok());
   ASSERT_TRUE(dec_iov.value().trace.has_value());
   EXPECT_EQ(dec_iov.value().trace->stream_id, ctx.stream_id);
 
   // Absent context encodes no trailer and decodes as absent.
   data.trace.reset();
-  auto dec_plain = wire::decode_data(ByteView(wire::encode(data)));
+  auto dec_plain = wire::decode_data(ByteLease(wire::encode(data)));
   ASSERT_TRUE(dec_plain.is_ok());
   EXPECT_FALSE(dec_plain.value().trace.has_value());
 }
@@ -870,6 +870,99 @@ TEST(PipelineModesTest, WholeBlockPiecesMoveZeroCopy) {
   EXPECT_GE(avoided.value() - avoided0, static_cast<std::uint64_t>(kSteps));
   // ...and steps after the first ran off the cached plan.
   EXPECT_GT(hits.value() - hits0, 0u);
+  metrics::set_enabled(was);
+}
+
+/// One writer, one reader over shm; step s writes a process-group block of
+/// sizes[s] doubles whose values encode (step, index). The reader must get
+/// exactly that block each step, whatever the writer wrote before it.
+void run_pg_sizes(const std::string& stream, const std::string& params,
+                  const std::vector<std::uint64_t>& sizes) {
+  Runtime rt;
+  Program sim("sim", 1);
+  Program viz("viz", 1);
+  const int steps = static_cast<int>(sizes.size());
+  auto value = [](int step, std::uint64_t i) {
+    return step * 1e6 + static_cast<double>(i);
+  };
+  std::thread writer([&] {
+    StreamSpec spec;
+    spec.stream = stream;
+    spec.endpoint = EndpointSpec{&sim, 0, evpath::Location{0, 0}};
+    spec.method = stream_method(params);
+    auto w = rt.open_writer(spec);
+    ASSERT_TRUE(w.is_ok());
+    for (int s = 0; s < steps; ++s) {
+      std::vector<double> particles(sizes[s]);
+      for (std::uint64_t i = 0; i < sizes[s]; ++i) particles[i] = value(s, i);
+      ASSERT_TRUE(w.value()->begin_step(s).is_ok());
+      ASSERT_TRUE(w.value()
+                      ->write(adios::local_array_var("particles",
+                                                     DataType::kDouble,
+                                                     {sizes[s]}),
+                              as_bytes_view(std::span<const double>(particles)))
+                      .is_ok());
+      ASSERT_TRUE(w.value()->end_step().is_ok());
+    }
+    ASSERT_TRUE(w.value()->close().is_ok());
+  });
+  std::thread reader([&] {
+    StreamSpec spec;
+    spec.stream = stream;
+    spec.endpoint = EndpointSpec{&viz, 0, evpath::Location{0, 1}};
+    spec.method = stream_method(params);
+    auto r = rt.open_reader(spec);
+    ASSERT_TRUE(r.is_ok());
+    int s = 0;
+    for (;; ++s) {
+      auto step = r.value()->begin_step();
+      if (step.status().code() == ErrorCode::kEndOfStream) break;
+      ASSERT_TRUE(step.is_ok());
+      ASSERT_LT(s, steps);
+      ASSERT_TRUE(r.value()->schedule_read_pg(0).is_ok());
+      ASSERT_TRUE(r.value()->perform_reads().is_ok());
+      ASSERT_EQ(r.value()->pg_blocks().size(), 1u);
+      const PgBlock& block = r.value()->pg_blocks()[0];
+      EXPECT_EQ(block.meta.block.count, Dims{sizes[s]});
+      ASSERT_EQ(block.payload.size(), sizes[s] * sizeof(double));
+      for (std::uint64_t i = 0; i < sizes[s]; ++i) {
+        double v = 0;
+        std::memcpy(&v, block.payload.data() + i * sizeof(double), sizeof v);
+        ASSERT_EQ(v, value(s, i)) << "step " << s << " element " << i;
+      }
+      ASSERT_TRUE(r.value()->end_step().is_ok());
+    }
+    EXPECT_EQ(s, steps);
+  });
+  writer.join();
+  reader.join();
+}
+
+class PersistentWriterBufferTest
+    : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(PersistentWriterBufferTest, SmallerBlockAfterLargerArrivesExactly) {
+  // The writer keeps each variable's buffer across steps and refills its
+  // capacity: a block that shrinks (then grows back within the old
+  // capacity) must reach the reader as exactly the bytes written.
+  run_pg_sizes(std::string("shrink_") + GetParam(),
+               std::string("caching=") + GetParam(), {600, 40, 300, 41});
+}
+
+INSTANTIATE_TEST_SUITE_P(CachingLevels, PersistentWriterBufferTest,
+                         ::testing::Values("none", "local", "all"),
+                         [](const auto& info) { return std::string(info.param); });
+
+TEST(PipelineModesTest, CachedStepsRecordStepTotals) {
+  // Under caching=all only step 0 carries an announce; the later steps are
+  // timed from the earliest send stamp among their data frames, so every
+  // step lands in flexio.step.total.ns.
+  const bool was = metrics::enabled();
+  metrics::set_enabled(true);
+  metrics::Histogram& total = metrics::histogram("flexio.step.total.ns");
+  const std::uint64_t before = total.snapshot().count;
+  run_pg_sizes("cached_totals", "caching=all", {16, 16, 16});
+  EXPECT_EQ(total.snapshot().count - before, 3u);
   metrics::set_enabled(was);
 }
 

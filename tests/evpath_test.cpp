@@ -18,7 +18,7 @@ ByteView bytes_of(const std::string& s) {
   return ByteView(reinterpret_cast<const std::byte*>(s.data()), s.size());
 }
 
-std::string string_of(const std::vector<std::byte>& v) {
+std::string string_of(ByteView v) {
   return std::string(reinterpret_cast<const char*>(v.data()), v.size());
 }
 

@@ -5,6 +5,7 @@
 // restart, and End-of-Stream delivery via wire::Close's final step id.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <thread>
 
@@ -56,7 +57,7 @@ TEST(FaultTest, PutMessageFailsOnceIsRetriedAndSucceeds) {
 
   evpath::Message msg;
   ASSERT_TRUE(pair.rx->recv(&msg, 5s).is_ok());
-  EXPECT_EQ(msg.payload, payload);
+  EXPECT_TRUE(std::ranges::equal(msg.payload, payload));
   // The injected kUnavailable was absorbed by timeout-and-retry, visibly.
   EXPECT_GE(pair.tx->outbound_stats("fault.rx").retries, 1u);
   EXPECT_EQ(plan.value().faults_fired(), 1u);
@@ -77,7 +78,7 @@ TEST(FaultTest, RendezvousGetFailsOnceIsRetried) {
   ASSERT_TRUE(pair.tx->send("fault.rx", ByteView(payload)).is_ok());
   evpath::Message msg;
   ASSERT_TRUE(pair.rx->recv(&msg, 5s).is_ok());
-  EXPECT_EQ(msg.payload, payload);
+  EXPECT_TRUE(std::ranges::equal(msg.payload, payload));
   EXPECT_EQ(plan.value().faults_fired(), 1u);
 }
 

@@ -92,9 +92,15 @@ TEST_F(MetricsTest, SnapshotDuringUpdateIsTornFreeAndMonotone) {
   constexpr std::uint64_t kPerThread = 100000;
   constexpr std::uint64_t kFinal = kWriters * kPerThread;
   std::atomic<bool> done{false};
+  // The writers start once the reader has taken its first snapshot, so a
+  // loaded host cannot let them finish before any snapshot overlaps them.
+  std::atomic<bool> reader_running{false};
   std::vector<std::thread> writers;
   for (int t = 0; t < kWriters; ++t) {
-    writers.emplace_back([&c] {
+    writers.emplace_back([&c, &reader_running] {
+      while (!reader_running.load(std::memory_order_acquire)) {
+        std::this_thread::yield();
+      }
       for (std::uint64_t i = 0; i < kPerThread; ++i) c.inc();
     });
   }
@@ -103,6 +109,7 @@ TEST_F(MetricsTest, SnapshotDuringUpdateIsTornFreeAndMonotone) {
   std::thread reader([&] {
     while (!done.load(std::memory_order_acquire)) {
       const auto snap = snapshot_all();
+      reader_running.store(true, std::memory_order_release);
       const auto it = snap.find("test.snapshot.counter");
       ASSERT_NE(it, snap.end());
       ASSERT_EQ(it->second.kind, MetricSnapshot::Kind::kCounter);

@@ -440,12 +440,14 @@ TEST(MultiplexPipelineTest, ManyStreamsShareTwoEndpoints) {
   std::atomic<bool> stop_probe{false};
   std::thread probe([&] {
     // Sample the registry while the pipelines run: the O(links) evidence.
+    // Back to back: the four pipelines finish within a few milliseconds,
+    // too quick for a millisecond sleep to catch them overlapping reliably.
     while (!stop_probe.load()) {
       std::size_t e = rt.registry().shared_endpoint_count();
       std::size_t s = rt.registry().attached_stream_count();
       if (e > max_endpoints.load()) max_endpoints.store(e);
       if (s > max_streams.load()) max_streams.store(s);
-      std::this_thread::sleep_for(1ms);
+      std::this_thread::yield();
     }
   });
 

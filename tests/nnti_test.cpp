@@ -347,27 +347,58 @@ TEST(RegistrationCacheTest, FillPastCapacityEvictsLeastRecentlyUsed) {
 TEST(RegistrationCacheTest, LruVictimChosenAcrossSizeClasses) {
   Fabric fabric;
   auto nic = fabric.create_nic("n").value();
-  RegistrationCache cache(nic.get(), 1600);
+  RegistrationCache cache(nic.get(), 2600);
   auto small = cache.acquire(256);   // cap 256
-  auto large = cache.acquire(1000);  // cap 1024
+  auto large = cache.acquire(2000);  // cap 2048
   ASSERT_TRUE(small.is_ok());
   ASSERT_TRUE(large.is_ok());
   const std::uint64_t large_key = large.value().region.key;
   cache.release(small.value());  // stamp 1: globally least recently used
   cache.release(large.value());  // stamp 2
 
-  // 512-class acquire: held 1280 + 512 > 1600, so exactly one eviction is
-  // needed -- and it must take the small buffer (older stamp), not the
-  // large one (which would free more bytes but is warmer).
+  // 512-class acquire (two classes below the large buffer, so it cannot
+  // borrow it): held 2304 + 512 > 2600, so exactly one eviction is needed
+  // -- and it must take the small buffer (older stamp), not the large one
+  // (which would free more bytes but is warmer).
   auto mid = cache.acquire(512);
   ASSERT_TRUE(mid.is_ok());
   EXPECT_EQ(cache.stats().reclamations, 1u);
-  auto back = cache.acquire(1000);
+  auto back = cache.acquire(2000);
   ASSERT_TRUE(back.is_ok());
   EXPECT_EQ(back.value().region.key, large_key);  // survived eviction
   EXPECT_EQ(cache.stats().hits, 1u);
   cache.release(mid.value());
   cache.release(back.value());
+}
+
+TEST(RegistrationCacheTest, NextClassUpServesStraddlingSizes) {
+  // Sizes that alternate across a class boundary share one registration:
+  // a request with its own class empty takes a free buffer one class up
+  // instead of evicting it and registering a smaller one. Two classes up
+  // is too far (the buffer would be under a quarter full).
+  Fabric fabric;
+  auto nic = fabric.create_nic("n").value();
+  RegistrationCache cache(nic.get(), 4096);  // room for one 4096 buffer
+  auto big = cache.acquire(3000);            // class 4096
+  ASSERT_TRUE(big.is_ok());
+  const std::uint64_t key = big.value().region.key;
+  cache.release(big.value());
+  for (int i = 0; i < 3; ++i) {
+    auto small = cache.acquire(2000);  // class 2048: borrows the 4096
+    ASSERT_TRUE(small.is_ok());
+    EXPECT_EQ(small.value().region.key, key);
+    cache.release(small.value());
+    auto again = cache.acquire(3000);
+    ASSERT_TRUE(again.is_ok());
+    EXPECT_EQ(again.value().region.key, key);
+    cache.release(again.value());
+  }
+  EXPECT_EQ(cache.stats().registrations, 1u);
+  EXPECT_EQ(cache.stats().reclamations, 0u);
+  auto tiny = cache.acquire(1000);  // class 1024: too small to borrow
+  ASSERT_TRUE(tiny.is_ok());
+  EXPECT_NE(tiny.value().region.key, key);
+  cache.release(tiny.value());
 }
 
 TEST(RegistrationCacheTest, HitMissCountersBalance) {

@@ -19,7 +19,7 @@ ByteView bytes_of(const std::string& s) {
   return ByteView(reinterpret_cast<const std::byte*>(s.data()), s.size());
 }
 
-std::string string_of(const std::vector<std::byte>& v) {
+std::string string_of(ByteView v) {
   return std::string(reinterpret_cast<const char*>(v.data()), v.size());
 }
 
@@ -208,7 +208,7 @@ ChannelOptions small_options() {
 TEST(ChannelTest, InlineMessagesRoundTrip) {
   Channel ch(small_options());
   ASSERT_TRUE(ch.send(bytes_of("tiny")).is_ok());
-  std::vector<std::byte> out;
+  ByteLease out;
   ASSERT_TRUE(ch.receive(&out).is_ok());
   EXPECT_EQ(string_of(out), "tiny");
   EXPECT_EQ(ch.stats().inline_sends, 1u);
@@ -220,20 +220,51 @@ TEST(ChannelTest, LargeAsyncGoesThroughPool) {
   std::string big(10000, 'x');
   for (std::size_t i = 0; i < big.size(); ++i) big[i] = char('a' + i % 26);
   ASSERT_TRUE(ch.send(bytes_of(big)).is_ok());
-  std::vector<std::byte> out;
+  ByteLease out;
   ASSERT_TRUE(ch.receive(&out).is_ok());
   EXPECT_EQ(string_of(out), big);
   const ChannelStats s = ch.stats();
   EXPECT_EQ(s.pool_sends, 1u);
-  // Paper: "two memory copies are needed for sending large messages
-  // asynchronously".
-  EXPECT_EQ(s.memory_copies, 2u);
+  // The paper's asynchronous pool path makes two copies (producer in,
+  // consumer out). The consumer here leases the pool slot instead of
+  // copying out of it, so the producer's copy-in is the only one.
+  EXPECT_EQ(s.memory_copies, 1u);
+}
+
+TEST(ChannelTest, PoolSlotIsLeasedUntilTheLastCopyDrops) {
+  // The consumer receives the pool slot itself: it stays in use while any
+  // copy of the lease lives, even past the channel, and returns to the
+  // producer's free list when the last copy drops.
+  std::string big(10000, 'y');
+  ByteLease kept;
+  {
+    Channel ch(small_options());
+    ASSERT_TRUE(ch.send(bytes_of(big)).is_ok());
+    ByteLease out;
+    ASSERT_TRUE(ch.receive(&out).is_ok());
+    const std::size_t slot = ch.pool_stats().bytes_in_use;
+    EXPECT_GE(slot, big.size());
+    kept = out.subspan(1);
+    out.reset();
+    EXPECT_EQ(ch.pool_stats().bytes_in_use, slot);  // the copy holds it
+    ByteLease last = kept;
+    kept.reset();
+    EXPECT_EQ(string_of(ByteView(last)), big.substr(1));
+    last.reset();
+    EXPECT_EQ(ch.pool_stats().bytes_in_use, 0u);
+    EXPECT_EQ(ch.pool_stats().reuses, 0u);
+    // Reused for the next message, and this lease outlives the channel.
+    ASSERT_TRUE(ch.send(bytes_of(big)).is_ok());
+    ASSERT_TRUE(ch.receive(&kept).is_ok());
+    EXPECT_EQ(ch.pool_stats().reuses, 1u);
+  }
+  EXPECT_EQ(string_of(ByteView(kept)), big);
 }
 
 TEST(ChannelTest, SyncLargeUsesXpmemOneCopy) {
   Channel ch(small_options());
   std::string big(5000, 'q');
-  std::vector<std::byte> out;
+  ByteLease out;
   std::thread consumer([&] { ASSERT_TRUE(ch.receive(&out).is_ok()); });
   ASSERT_TRUE(ch.send_sync(bytes_of(big)).is_ok());
   consumer.join();
@@ -250,7 +281,7 @@ TEST(ChannelTest, SyncWithXpmemDisabledFallsBackToPool) {
   Channel ch(o);
   std::string big(5000, 'q');
   ASSERT_TRUE(ch.send_sync(bytes_of(big)).is_ok());
-  std::vector<std::byte> out;
+  ByteLease out;
   ASSERT_TRUE(ch.receive(&out).is_ok());
   EXPECT_EQ(ch.stats().pool_sends, 1u);
   EXPECT_EQ(ch.stats().xpmem_sends, 0u);
@@ -260,7 +291,7 @@ TEST(ChannelTest, EosDeliveredAfterPendingData) {
   Channel ch(small_options());
   ASSERT_TRUE(ch.send(bytes_of("last")).is_ok());
   ASSERT_TRUE(ch.close().is_ok());
-  std::vector<std::byte> out;
+  ByteLease out;
   ASSERT_TRUE(ch.receive(&out).is_ok());
   EXPECT_EQ(string_of(out), "last");
   EXPECT_EQ(ch.receive(&out).code(), ErrorCode::kEndOfStream);
@@ -279,7 +310,7 @@ TEST(ChannelTest, ReceiveTimesOutWhenIdle) {
   ChannelOptions o = small_options();
   o.timeout = 10ms;
   Channel ch(o);
-  std::vector<std::byte> out;
+  ByteLease out;
   EXPECT_EQ(ch.receive(&out).code(), ErrorCode::kTimeout);
 }
 
@@ -300,7 +331,7 @@ TEST(ChannelTest, PoolBuffersRecycleAcrossManySends) {
   ChannelOptions o = small_options();
   Channel ch(o);
   std::string big(8192, 'z');
-  std::vector<std::byte> out;
+  ByteLease out;
   for (int i = 0; i < 100; ++i) {
     ASSERT_TRUE(ch.send(bytes_of(big)).is_ok());
     ASSERT_TRUE(ch.receive(&out).is_ok());
@@ -331,7 +362,7 @@ TEST(ChannelTest, MixedSizePipelineStress) {
   });
 
   Rng rng(7);
-  std::vector<std::byte> out;
+  ByteLease out;
   for (int i = 0; i < kCount; ++i) {
     const std::size_t len = 1 + rng.next_below(4096);
     ASSERT_TRUE(ch.receive(&out).is_ok()) << i;

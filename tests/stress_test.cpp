@@ -6,6 +6,7 @@
 // primary TSan targets -- see docs/TESTING.md.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 #include <thread>
@@ -163,7 +164,7 @@ TEST(ChannelStressTest, MixedInlinePoolXpmemTraffic) {
     ASSERT_TRUE(channel.close().is_ok());
   });
   std::thread consumer([&] {
-    std::vector<std::byte> msg;
+    ByteLease msg;
     std::vector<std::byte> want;
     for (std::uint64_t i = 0;; ++i) {
       const Status st = channel.receive(&msg);
@@ -174,7 +175,7 @@ TEST(ChannelStressTest, MixedInlinePoolXpmemTraffic) {
       ASSERT_TRUE(st.is_ok()) << st.to_string();
       const std::size_t size = (i % 3 == 0) ? 64 : 1024 + i % 512;
       fill(&want, i, size);
-      ASSERT_EQ(msg, want);  // FIFO across inline/pool/xpmem switches
+      ASSERT_TRUE(std::ranges::equal(msg, want));  // FIFO across inline/pool/xpmem switches
     }
   });
   producer.join();

@@ -143,6 +143,29 @@ TEST(FamilyTest, StreamCloseRetiresPerStreamSeries) {
   EXPECT_FALSE(snapshot_has("flexio.stream.stalls.retire_probe"));
 }
 
+TEST(FamilyTest, ClosedSharedStreamsFreeTheirSeries) {
+  // Each shared-mode stream owns three per-stream series. Once a closed
+  // stream's last holder lets go, its retired series must be freed, not
+  // leaked: opening and closing many streams keeps the number of live
+  // metric objects flat.
+  metrics::set_enabled(true);
+  Runtime rt;
+  MuxOptions mux;
+  mux.shared_links = true;
+  mux.timeout = 20s;
+  auto open_close = [&](int i) {
+    auto ch = rt.registry().attach("leak_probe_" + std::to_string(i), "progT",
+                                   0, evpath::Location{0, 0},
+                                   evpath::LinkOptions{}, mux);
+    ASSERT_TRUE(ch.is_ok()) << ch.status().to_string();
+  };
+  // Warm up: process-wide metrics register on first use.
+  for (int i = 0; i < 4; ++i) open_close(i);
+  const std::size_t live = metrics::detail::live_metric_objects();
+  for (int i = 4; i < 260; ++i) open_close(i);
+  EXPECT_EQ(metrics::detail::live_metric_objects(), live);
+}
+
 // --------------------------------------------------------- delta encoder --
 
 TEST(DeltaEncoderTest, HistogramDeltasCarryCumulativeQuantiles) {

@@ -289,6 +289,28 @@ TEST(WorkPoolTest, SubmitRunsDetachedTasksExactlyOnce) {
   EXPECT_EQ(ran.load(), kTasks);
 }
 
+TEST(WorkPoolTest, SubmittedTaskRecordsOneQueueSample) {
+  // Detached tasks (the stream registry's drainers) queue like batch tasks
+  // do, so their submit -> claim wait lands in flexio.pool.queue_ns too.
+  const bool was = metrics::enabled();
+  metrics::set_enabled(true);
+  const auto queue_before =
+      metrics::histogram("flexio.pool.queue_ns").snapshot().count;
+  WorkPool pool(1);
+  std::atomic<bool> ran{false};
+  pool.submit([&] { ran.store(true); });
+  // A worker claims the task (and records its wait) before running it.
+  const auto deadline = std::chrono::steady_clock::now() + 10s;
+  while (!ran.load() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+  ASSERT_TRUE(ran.load());
+  EXPECT_EQ(metrics::histogram("flexio.pool.queue_ns").snapshot().count -
+                queue_before,
+            1u);
+  metrics::set_enabled(was);
+}
+
 TEST(WorkPoolTest, SubmitOnZeroWorkerPoolRunsInline) {
   WorkPool pool(0);
   bool ran = false;
