@@ -226,6 +226,10 @@ struct MachineCase {
   double s3d_improvement;  // staging-vs-inline: ~19% (Smoky) / ~30% (Titan)
 };
 
+// Without a printer gtest shows the raw bytes, whose pointers move with
+// ASLR, so the ctest names discovered from the listing changed every build.
+void PrintTo(const MachineCase& mc, std::ostream* os) { *os << mc.name; }
+
 class ModelShapeTest : public ::testing::TestWithParam<MachineCase> {};
 
 double total(const CoupledConfig& config) {
