@@ -491,8 +491,8 @@ void BM_StreamStepParallelUnpack(benchmark::State& state) {
   } else {
     for (auto _ : state) {
       double seconds = 0.0;
-      if (const Status st = run_step(&seconds); !st.is_ok()) {
-        state.SkipWithError(st.to_string().c_str());
+      if (const Status step_st = run_step(&seconds); !step_st.is_ok()) {
+        state.SkipWithError(step_st.to_string().c_str());
         break;
       }
       state.SetIterationTime(seconds);

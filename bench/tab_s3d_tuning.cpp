@@ -81,12 +81,10 @@ TuningResult run_config(const std::string& stream_name, const char* params,
     if (rank == 0) {
       std::sort(visible.begin(), visible.end());
       result.median_visible_ms = visible[visible.size() / 2] * 1e3;
-      result.handshakes_performed =
-          w.value()->monitor().count("handshake.performed");
-      result.handshakes_skipped =
-          w.value()->monitor().count("handshake.skipped");
-      result.msgs_per_step =
-          static_cast<double>(w.value()->monitor().count("msgs.sent")) / steps;
+      const StreamWriter::Counts& counts = w.value()->counts();
+      result.handshakes_performed = counts.handshakes_performed;
+      result.handshakes_skipped = counts.handshakes_skipped;
+      result.msgs_per_step = static_cast<double>(counts.msgs_sent) / steps;
     }
   };
 

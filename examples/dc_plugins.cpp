@@ -55,7 +55,7 @@ int main() {
     FLEXIO_CHECK(w.value()->close().is_ok());
     std::printf("[writer] executed %llu plug-in pieces inside the producer\n",
                 static_cast<unsigned long long>(
-                    w.value()->monitor().count("plugin.pieces")));
+                    w.value()->counts().plugin_pieces));
   });
 
   std::thread reader([&] {

@@ -82,7 +82,7 @@ int main() {
     if (rank == 0) {
       std::printf("[gts] plug-in executions inside the simulation: %llu\n",
                   static_cast<unsigned long long>(
-                      writer.value()->monitor().count("plugin.pieces")));
+                      writer.value()->counts().plugin_pieces));
     }
   };
 

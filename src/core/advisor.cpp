@@ -1,7 +1,5 @@
 #include "core/advisor.h"
 
-#include <algorithm>
-
 namespace flexio {
 
 PluginPlacementInputs inputs_from_reports(const wire::MonitorReport& writer,
@@ -15,18 +13,13 @@ PluginPlacementInputs inputs_from_reports(const wire::MonitorReport& writer,
   in.plugin_seconds_per_step = plugin_seconds_per_step;
   in.movement_bandwidth = movement_bandwidth;
   // Headroom estimate: the time the writer already spends on data movement
-  // per step is what it tolerates; a simulation whose sends are instant
-  // has no slack. Prefer the per-phase attribution (pack + transport
-  // hand-off, measured at the exact seams) when the report carries it;
-  // fall back to the coarse close-time send total for old-format reports.
+  // per step (pack + transport hand-off, measured at the exact seams) is
+  // what it tolerates; a simulation whose sends are instant -- or a report
+  // covering no steps -- has no slack.
   if (writer.phase_steps > 0) {
     in.writer_headroom_seconds =
         static_cast<double>(writer.pack_ns + writer.enqueue_ns) * 1e-9 /
         static_cast<double>(writer.phase_steps);
-  } else {
-    const double steps =
-        std::max<double>(1.0, static_cast<double>(writer.steps));
-    in.writer_headroom_seconds = writer.send_seconds / steps;
   }
   return in;
 }

@@ -19,8 +19,9 @@ struct PluginPlacementInputs {
   double bytes_per_step = 0;
   /// Plug-in output/input size ratio (selection/sampling < 1, markup ~ 1).
   double reduction_ratio = 1.0;
-  /// Measured plug-in execution time per step (monitor metric
-  /// "plugin.exec" on whichever side currently runs it).
+  /// Measured plug-in execution time per step: the flexio.plugin.exec.ns
+  /// histogram's sum on whichever side currently runs the plug-in, divided
+  /// by the steps it covers.
   double plugin_seconds_per_step = 0;
   /// Transport bandwidth between the programs (bytes/s).
   double movement_bandwidth = 1e9;

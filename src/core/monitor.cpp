@@ -2,62 +2,16 @@
 
 #include <fstream>
 
-#include "util/strings.h"
-
 namespace flexio {
 
-void PerfMonitor::record_time(const std::string& metric, double seconds) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  times_[metric].add(seconds);
-}
-
-void PerfMonitor::add_count(const std::string& metric, std::uint64_t n) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  counts_[metric] += n;
-}
-
-RunningStats PerfMonitor::time_stats(const std::string& metric) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = times_.find(metric);
-  return it == times_.end() ? RunningStats{} : it->second;
-}
-
-std::uint64_t PerfMonitor::count(const std::string& metric) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = counts_.find(metric);
-  return it == counts_.end() ? 0 : it->second;
-}
-
-std::string PerfMonitor::report() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::string out;
-  for (const auto& [name, stats] : times_) {
-    out += str_format("%-32s n=%-6zu total=%.6fs mean=%.6fs max=%.6fs\n",
-                      name.c_str(), stats.count(), stats.sum(), stats.mean(),
-                      stats.max());
-  }
-  for (const auto& [name, value] : counts_) {
-    out += str_format("%-32s count=%llu\n", name.c_str(),
-                      static_cast<unsigned long long>(value));
-  }
-  return out;
-}
-
-Status PerfMonitor::dump_csv(const std::string& path) const {
+Status dump_csv(const wire::MonitorReport& report, const std::string& path) {
   std::ofstream out(path);
   if (!out) {
     return make_error(ErrorCode::kInternal, "cannot open trace file: " + path);
   }
-  out << "metric,kind,count,total,mean,min,max\n";
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (const auto& [name, stats] : times_) {
-    out << str_format("%s,time,%zu,%.9f,%.9f,%.9f,%.9f\n", name.c_str(),
-                      stats.count(), stats.sum(), stats.mean(), stats.min(),
-                      stats.max());
-  }
-  for (const auto& [name, value] : counts_) {
-    out << str_format("%s,count,%llu,,,,\n", name.c_str(),
-                      static_cast<unsigned long long>(value));
+  out << "field,value\n";
+  for (const auto& [name, field] : wire::kMonitorReportFields) {
+    out << name << ',' << report.*field << '\n';
   }
   return out ? Status::ok()
              : make_error(ErrorCode::kInternal, "trace file write failed");
@@ -88,8 +42,6 @@ wire::MonitorReport cluster_phase_report(const evpath::ClusterSnapshot& cluster,
     report.bytes_sent += counter(rs, "flexio.bytes.sent");
     report.handshakes_performed += counter(rs, "flexio.handshake.performed");
     report.handshakes_skipped += counter(rs, "flexio.handshake.skipped");
-    report.pack_seconds = static_cast<double>(report.pack_ns) * 1e-9;
-    report.send_seconds = static_cast<double>(report.enqueue_ns) * 1e-9;
   }
   return report;
 }

@@ -1,81 +1,25 @@
 // Runtime performance monitoring (paper Section II.G).
 //
-// Measurement points at every level of the FlexIO stack feed named metrics
-// here: data-movement timings, handshake costs, transferred volumes, DC
-// plug-in execution time, and buffer-pool memory usage. The data is used
-// two ways, both reproduced: dumped to trace files for offline tuning
-// (dump_csv) and shipped to the analytics side at runtime (the stream
-// writer aggregates a wire::MonitorReport from these metrics at close).
+// Measurement points at every level of the FlexIO stack feed the metrics
+// registry (util/metrics.h): data-movement timings, handshake costs,
+// transferred volumes, DC plug-in execution time, and buffer-pool memory
+// usage. The paper uses the data two ways, both reproduced: dumped to trace
+// files for offline tuning (dump_csv) and shipped to the analytics side at
+// runtime (the stream writer's close-time wire::MonitorReport, built from
+// counts it keeps whether or not the registry is enabled).
 #pragma once
 
-#include <cstdint>
-#include <map>
-#include <mutex>
 #include <string>
 
 #include "core/wire.h"
 #include "evpath/directory.h"
-#include "util/metrics.h"
-#include "util/stats.h"
 #include "util/status.h"
 
 namespace flexio {
 
-class PerfMonitor {
- public:
-  /// Record one timing sample, in seconds, under a metric name such as
-  /// "write.pack" or "handshake.exchange".
-  void record_time(const std::string& metric, double seconds);
-
-  /// Accumulate a counter such as "bytes.sent" or "handshake.skipped".
-  void add_count(const std::string& metric, std::uint64_t n);
-
-  /// Timing statistics for one metric (zeros when never recorded).
-  RunningStats time_stats(const std::string& metric) const;
-
-  /// Counter value (0 when never touched).
-  std::uint64_t count(const std::string& metric) const;
-
-  /// Total seconds recorded under a metric.
-  double total_time(const std::string& metric) const {
-    return time_stats(metric).sum();
-  }
-
-  /// Human-readable summary of all metrics.
-  std::string report() const;
-
-  /// Dump all metrics as CSV (metric,kind,count,total,mean,min,max).
-  Status dump_csv(const std::string& path) const;
-
-  /// RAII timing helper: records the scope's wall time under `metric`.
-  /// Reads metrics::now_ns() -- the same swappable clock as the metrics
-  /// registry -- so tests driving the fake clock see deterministic
-  /// MonitorReport timings too.
-  class ScopedTimer {
-   public:
-    ScopedTimer(PerfMonitor* monitor, std::string metric)
-        : monitor_(monitor),
-          metric_(std::move(metric)),
-          start_ns_(metrics::now_ns()) {}
-    ~ScopedTimer() {
-      const std::uint64_t end_ns = metrics::now_ns();
-      monitor_->record_time(
-          metric_, static_cast<double>(end_ns - start_ns_) * 1e-9);
-    }
-    ScopedTimer(const ScopedTimer&) = delete;
-    ScopedTimer& operator=(const ScopedTimer&) = delete;
-
-   private:
-    PerfMonitor* monitor_;
-    std::string metric_;
-    std::uint64_t start_ns_;
-  };
-
- private:
-  mutable std::mutex mutex_;
-  std::map<std::string, RunningStats> times_;
-  std::map<std::string, std::uint64_t> counts_;
-};
+/// Write every field of `report` to `path` as CSV: a `field,value` header,
+/// then one row per field in wire order (timings in ns).
+Status dump_csv(const wire::MonitorReport& report, const std::string& path);
 
 /// Fold the directory's aggregated cluster view into one wire::MonitorReport
 /// covering every rank of `program` (all programs when empty): per-phase

@@ -14,7 +14,6 @@
 #include <mutex>
 #include <string>
 
-#include "core/monitor.h"
 #include "core/program.h"
 #include "core/stream_registry.h"
 #include "core/wire.h"

@@ -64,6 +64,11 @@ metrics::Histogram& step_total_hist() {
   static metrics::Histogram& h = metrics::histogram("flexio.step.total.ns");
   return h;
 }
+// Shared with StreamWriter: one sample per piece a plug-in transformed.
+metrics::Histogram& plugin_exec_hist() {
+  static metrics::Histogram& h = metrics::histogram("flexio.plugin.exec.ns");
+  return h;
+}
 
 /// Encoded per-rank contribution to the read request (Step 1.a payload).
 std::vector<std::byte> encode_rank_request(const wire::ReadRequest& req) {
@@ -772,7 +777,7 @@ Status StreamReader::place_piece(wire::DataPiece piece, int writer_rank,
   const auto plug = reader_plugins_.find(piece.meta.name);
   const std::size_t received_bytes = piece.bytes().size();
   if (plug != reader_plugins_.end()) {
-    PerfMonitor::ScopedTimer pt(&monitor_, "plugin.exec");
+    metrics::ScopedTimerNs timer(&plugin_exec_hist());
     piece.materialize();
     auto transformed = plug->second(piece);
     if (!transformed.is_ok()) return transformed.status();
@@ -826,18 +831,15 @@ Status StreamReader::place_piece(wire::DataPiece piece, int writer_rank,
 }
 
 Status StreamReader::perform_reads_file() {
-  PerfMonitor::ScopedTimer t(&monitor_, "read.file");
   for (const PendingRead& pr : pending_reads_) {
     FLEXIO_RETURN_IF_ERROR(bp_->read_global(step_, pr.var, pr.selection,
                                             pr.dst));
-    monitor_.add_count("bytes.read", pr.dst.size());
   }
   for (int w : pending_pg_) {
     for (const adios::BpBlockRef& ref : bp_->blocks_for_writer(step_, w)) {
       if (ref.meta.shape != adios::ShapeKind::kLocalArray) continue;
       std::vector<std::byte> bytes(ref.payload_bytes);
       FLEXIO_RETURN_IF_ERROR(bp_->read_block(ref, MutableByteView(bytes)));
-      monitor_.add_count("bytes.read", bytes.size());
       PgBlock block;
       block.writer_rank = w;
       block.meta = ref.meta;
@@ -874,7 +876,6 @@ Status StreamReader::perform_reads_stream() {
 
   if (do_exchange) {
     trace::Span hs_span("reader.handshake");
-    PerfMonitor::ScopedTimer t(&monitor_, "handshake.exchange");
     // Step 1.a: gather selections at the coordinator.
     std::vector<std::vector<std::byte>> all;
     FLEXIO_RETURN_IF_ERROR(program_->gather(
@@ -918,7 +919,6 @@ Status StreamReader::perform_reads_stream() {
     if (cached_request_.membership_epoch) {
       cached_epoch_ = *cached_request_.membership_epoch;
     }
-    monitor_.add_count("handshake.performed", 1);
     handshakes_performed_counter().inc();
 
     for (const wire::PluginInstall& p : cached_request_.plugins) {
@@ -941,12 +941,9 @@ Status StreamReader::perform_reads_stream() {
     cached_expected_ =
         pieces_to_reader(plan_transfers(step_blocks_, cached_request_), rank_);
     plan_cache_misses_counter().inc();
-    monitor_.add_count("plan.cache_miss", 1);
   } else {
-    monitor_.add_count("handshake.skipped", 1);
     handshakes_skipped_counter().inc();
     plan_cache_hits_counter().inc();
-    monitor_.add_count("plan.cache_hit", 1);
     if (rank_ == Program::kCoordinator && !pending_plugins_.empty()) {
       return make_error(ErrorCode::kFailedPrecondition,
                         "plug-in (un)installation needs handshakes; "
@@ -980,7 +977,6 @@ Status StreamReader::perform_reads_stream() {
   // (writer_rank, var) so each arriving piece probes only its own bucket
   // instead of scanning the full expectation list -- O(pieces log buckets)
   // instead of O(pieces x expected).
-  PerfMonitor::ScopedTimer t(&monitor_, "read.receive");
   std::multimap<std::pair<int, std::string>, const TransferPiece*> remaining;
   for (const TransferPiece& p : cached_expected_) {
     remaining.emplace(std::make_pair(p.writer_rank, p.var), &p);
@@ -1023,9 +1019,7 @@ Status StreamReader::perform_reads_stream() {
                           "unexpected data piece for " + piece.meta.name);
       }
       remaining.erase(hit);
-      const std::size_t piece_bytes = piece.bytes().size();
-      monitor_.add_count("bytes.received", piece_bytes);
-      stream_bytes_received_counter().add(piece_bytes);
+      stream_bytes_received_counter().add(piece.bytes().size());
       if (read_pool_ == nullptr) {
         place_now(std::move(piece), msg.writer_rank);
       } else {
@@ -1039,8 +1033,8 @@ Status StreamReader::perform_reads_stream() {
   // Drain the stash first (messages that raced ahead).
   for (std::size_t i = 0; i < stash_.size();) {
     if (stash_[i].step == step_) {
-      auto matched = try_match(stash_[i]);
-      if (!matched.is_ok()) return matched.status();
+      auto hit = try_match(stash_[i]);
+      if (!hit.is_ok()) return hit.status();
       stash_[i] = std::move(stash_.back());
       stash_.pop_back();
     } else {
@@ -1059,8 +1053,8 @@ Status StreamReader::perform_reads_stream() {
         if (!data.is_ok()) return data.status();
         observe_data_msg(data.value());
         if (data.value().step == step_) {
-          auto matched = try_match(data.value());
-          if (!matched.is_ok()) return matched.status();
+          auto hit = try_match(data.value());
+          if (!hit.is_ok()) return hit.status();
         } else if (data.value().step > step_) {
           // A writer running ahead must not pin one transport buffer per
           // early frame (an shm pool fails its producer at a hard cap):
@@ -1150,9 +1144,9 @@ Status StreamReader::perform_reads_stream() {
     if (t_ns > unpack_max) unpack_max = t_ns;
   }
 
-  // Fold this step's phase timings into the registry histograms and the
-  // per-endpoint monitor. Transfer time may have accumulated before the
-  // step opened (stashed early arrivals), hence the per-step map.
+  // Fold this step's phase timings into the registry histograms. Transfer
+  // time may have accumulated before the step opened (stashed early
+  // arrivals), hence the per-step map.
   StepWire wire_acc;
   if (const auto it = step_wire_.find(step_); it != step_wire_.end()) {
     wire_acc = it->second;
@@ -1161,9 +1155,6 @@ Status StreamReader::perform_reads_stream() {
   step_transfer_hist().record(wire_acc.transfer_ns);
   step_unpack_hist().record(unpack_ns);
   step_unpack_critical_hist().record(unpack_max);
-  monitor_.add_count("phase.transfer_ns", wire_acc.transfer_ns);
-  monitor_.add_count("phase.unpack_ns", unpack_ns);
-  monitor_.add_count("phase.unpack_critical_ns", unpack_max);
   // The step's total runs from its announce; a cached step has none, so it
   // runs from the earliest send stamp among its data frames.
   std::optional<std::uint64_t> start_ns = wire_acc.first_send_ns;
@@ -1172,9 +1163,7 @@ Status StreamReader::perform_reads_stream() {
   }
   if (start_ns) {
     const std::uint64_t now = metrics::now_ns();
-    const std::uint64_t total = now > *start_ns ? now - *start_ns : 0;
-    step_total_hist().record(total);
-    monitor_.add_count("phase.total_ns", total);
+    step_total_hist().record(now > *start_ns ? now - *start_ns : 0);
   }
   return Status::ok();
 }

@@ -123,9 +123,6 @@ class StreamReader {
   bool file_mode() const { return bp_ != nullptr; }
   int num_writers() const { return writer_size_; }
 
-  /// Reader-side monitoring.
-  const PerfMonitor& monitor() const { return monitor_; }
-
   /// Unpack concurrency this reader resolved at open (config > env > 1).
   int read_threads() const { return read_threads_; }
 
@@ -289,8 +286,6 @@ class StreamReader {
   std::unique_ptr<adios::BpReader> bp_;
   std::vector<StepId> bp_steps_;
   std::size_t bp_cursor_ = 0;
-
-  PerfMonitor monitor_;
 };
 
 }  // namespace flexio

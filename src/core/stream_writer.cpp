@@ -17,7 +17,7 @@ std::chrono::nanoseconds ns_from_ms(double ms) {
 
 // Process-wide handshake accounting, shared with StreamReader: both sides
 // bump the same registry counters, so in a colocated test the totals are
-// 2x the per-side expectation. The per-instance PerfMonitor keeps exact
+// 2x the per-side expectation. StreamWriter::counts() keeps the exact
 // per-endpoint numbers for wire::MonitorReport.
 metrics::Counter& handshakes_performed_counter() {
   static metrics::Counter& c = metrics::counter("flexio.handshake.performed");
@@ -64,6 +64,12 @@ metrics::Histogram& step_enqueue_hist() {
 metrics::Histogram& step_pack_critical_hist() {
   static metrics::Histogram& h =
       metrics::histogram("flexio.step.pack.critical.ns");
+  return h;
+}
+// DC plug-in execution, one sample per transformed piece; StreamReader
+// records its side's plug-ins into the same histogram.
+metrics::Histogram& plugin_exec_hist() {
+  static metrics::Histogram& h = metrics::histogram("flexio.plugin.exec.ns");
   return h;
 }
 }  // namespace
@@ -205,7 +211,6 @@ Status StreamWriter::write(const adios::VarMeta& meta, ByteView payload) {
     return make_error(ErrorCode::kInvalidArgument,
                       "payload size does not match metadata of " + meta.name);
   }
-  PerfMonitor::ScopedTimer t(&monitor_, "write.pack");
   if (bp_) return bp_->write(meta, payload);
 
   for (const wire::BlockInfo& existing : my_blocks_) {
@@ -225,7 +230,6 @@ Status StreamWriter::write(const adios::VarMeta& meta, ByteView payload) {
     my_payloads_[slot].assign(payload.begin(), payload.end());
   }
   my_blocks_.push_back(std::move(block));
-  monitor_.add_count("bytes.written", payload.size());
   return Status::ok();
 }
 
@@ -246,18 +250,13 @@ Status StreamWriter::end_step() {
   if (!in_step_) {
     return make_error(ErrorCode::kFailedPrecondition, "no step open");
   }
-  const Status st = bp_ ? end_step_file() : end_step_stream();
+  const Status st = bp_ ? bp_->end_step() : end_step_stream();
   if (st.is_ok()) {
     last_step_ = step_;
     ++steps_completed_;
     in_step_ = false;
   }
   return st;
-}
-
-Status StreamWriter::end_step_file() {
-  PerfMonitor::ScopedTimer t(&monitor_, "write.file_flush");
-  return bp_->end_step();
 }
 
 Status StreamWriter::run_handshake(bool* did_exchange) {
@@ -296,14 +295,12 @@ Status StreamWriter::run_handshake(bool* did_exchange) {
     have_members_ = true;
     step_epoch = member_update_.epoch;
     epoch_changed = !first && step_epoch != planned_epoch_;
-    if (epoch_changed) monitor_.add_count("membership.replans", 1);
   }
 
   // Step 1.s: gather local distributions at the coordinator, unless the
   // local side is cached (CACHING_LOCAL and CACHING_ALL skip it).
   const bool do_gather = first || epoch_changed || caching == CachingLevel::kNone;
   if (do_gather) {
-    PerfMonitor::ScopedTimer t(&monitor_, "handshake.gather");
     wire::StepAnnounce mine;
     mine.step = step_;
     mine.blocks = my_blocks_;
@@ -321,8 +318,6 @@ Status StreamWriter::run_handshake(bool* did_exchange) {
         }
       }
     }
-  } else {
-    monitor_.add_count("handshake.gather_skipped", 1);
   }
 
   // Steps 2+3: exchange with the peer side, unless fully cached. An epoch
@@ -331,7 +326,6 @@ Status StreamWriter::run_handshake(bool* did_exchange) {
   const bool do_exchange = first || epoch_changed || caching != CachingLevel::kAll;
   *did_exchange = do_exchange;
   if (do_exchange) {
-    PerfMonitor::ScopedTimer t(&monitor_, "handshake.exchange");
     std::vector<std::byte> request_raw;
     if (rank_ == Program::kCoordinator) {
       if (epoch_changed) {
@@ -379,7 +373,7 @@ Status StreamWriter::run_handshake(bool* did_exchange) {
     }
     // The reader's request may have changed: the cached send plan is stale.
     have_cached_plan_ = false;
-    monitor_.add_count("handshake.performed", 1);
+    ++counts_.handshakes_performed;
     handshakes_performed_counter().inc();
 
     // Install any plug-ins that rode along with the request. An empty
@@ -389,7 +383,7 @@ Status StreamWriter::run_handshake(bool* did_exchange) {
       if (!p.run_at_writer) continue;
       if (p.source.empty()) {
         plugins_.erase(p.var);
-        monitor_.add_count("plugin.removed", 1);
+        ++counts_.plugins_removed;
         continue;
       }
       PluginCompiler compiler = rt_->plugin_compiler();
@@ -400,10 +394,9 @@ Status StreamWriter::run_handshake(bool* did_exchange) {
       auto fn = compiler(p.source);
       if (!fn.is_ok()) return fn.status();
       plugins_[p.var] = std::move(fn).value();
-      monitor_.add_count("plugin.installed", 1);
     }
   } else {
-    monitor_.add_count("handshake.skipped", 1);
+    ++counts_.handshakes_skipped;
     handshakes_skipped_counter().inc();
   }
   if (!have_cached_request_) {
@@ -460,17 +453,14 @@ struct StreamWriter::ReaderWork {
 
 Status StreamWriter::send_pieces() {
   trace::Span span("writer.send_pieces");
-  PerfMonitor::ScopedTimer t(&monitor_, "write.send");
   // Reuse the cached per-reader plan when neither side of the handshake
   // changed; otherwise recompute and rebind.
   if (have_cached_plan_ && !plan_bindings_valid()) have_cached_plan_ = false;
   if (have_cached_plan_) {
     plan_cache_hits_counter().inc();
-    monitor_.add_count("plan.cache_hit", 1);
   } else {
     rebuild_send_plan();
     plan_cache_misses_counter().inc();
-    monitor_.add_count("plan.cache_miss", 1);
   }
 
   // Serial prologue: membership gating mutates shared writer state (the
@@ -490,7 +480,6 @@ Status StreamWriter::send_pieces() {
         // part of a step: the next epoch-changed handshake re-plans over
         // the survivors). Drop its pieces instead of stalling the step.
         dropped_pieces_counter().add(planned.size());
-        monitor_.add_count("membership.pieces_dropped", planned.size());
         continue;
       }
       const auto it = link_incarnation_.find(reader);
@@ -504,11 +493,10 @@ Status StreamWriter::send_pieces() {
     work.push_back(ReaderWork{reader, &planned, std::move(dest)});
   }
 
-  // Per-task timing slots: disjoint indices, written by exactly one task
+  // Per-task count slots: disjoint indices, written by exactly one task
   // each, read after the batch joins (run_batch's completion wait is the
   // synchronization point).
-  std::vector<std::uint64_t> task_pack_ns(work.size(), 0);
-  std::vector<std::uint64_t> task_enqueue_ns(work.size(), 0);
+  std::vector<Counts> tallies(work.size());
 
   Status sent = Status::ok();
   if (pack_pool_ != nullptr && work.size() > 1) {
@@ -520,10 +508,9 @@ Status StreamWriter::send_pieces() {
     std::vector<util::WorkPool::Task> tasks;
     tasks.reserve(work.size());
     for (std::size_t i = 0; i < work.size(); ++i) {
-      tasks.push_back([this, tctx, &work, &task_pack_ns, &task_enqueue_ns,
-                       i]() -> Status {
+      tasks.push_back([this, tctx, &work, &tallies, i]() -> Status {
         trace::TaskScope task_identity(tctx);
-        return send_to_reader(work[i], &task_pack_ns[i], &task_enqueue_ns[i]);
+        return send_to_reader(work[i], &tallies[i]);
       });
     }
     sent = pack_pool_->run_batch(std::move(tasks));
@@ -531,8 +518,7 @@ Status StreamWriter::send_pieces() {
     // Serial path: same tasks, same all-run + first-error-wins semantics,
     // executed inline in plan order.
     for (std::size_t i = 0; i < work.size(); ++i) {
-      const Status st =
-          send_to_reader(work[i], &task_pack_ns[i], &task_enqueue_ns[i]);
+      const Status st = send_to_reader(work[i], &tallies[i]);
       if (sent.is_ok()) sent = st;
     }
   }
@@ -544,23 +530,23 @@ Status StreamWriter::send_pieces() {
   std::uint64_t pack_sum = 0;
   std::uint64_t pack_max = 0;
   std::uint64_t enqueue_sum = 0;
-  for (std::size_t i = 0; i < work.size(); ++i) {
-    pack_sum += task_pack_ns[i];
-    if (task_pack_ns[i] > pack_max) pack_max = task_pack_ns[i];
-    enqueue_sum += task_enqueue_ns[i];
+  for (const Counts& t : tallies) {
+    pack_sum += t.pack_ns;
+    if (t.pack_ns > pack_max) pack_max = t.pack_ns;
+    enqueue_sum += t.enqueue_ns;
+    counts_.bytes_sent += t.bytes_sent;
+    counts_.msgs_sent += t.msgs_sent;
+    counts_.plugin_pieces += t.plugin_pieces;
   }
   step_pack_hist().record(pack_sum);
   step_pack_critical_hist().record(pack_max);
   step_enqueue_hist().record(enqueue_sum);
-  monitor_.add_count("phase.pack_ns", pack_sum);
-  monitor_.add_count("phase.pack_critical_ns", pack_max);
-  monitor_.add_count("phase.enqueue_ns", enqueue_sum);
+  counts_.pack_ns += pack_sum;
+  counts_.enqueue_ns += enqueue_sum;
   return Status::ok();
 }
 
-Status StreamWriter::send_to_reader(const ReaderWork& work,
-                                    std::uint64_t* pack_ns,
-                                    std::uint64_t* enqueue_ns) {
+Status StreamWriter::send_to_reader(const ReaderWork& work, Counts* tally) {
   trace::Span span("writer.pack_task");
   const std::vector<PlannedPiece>& planned = *work.planned;
   const auto send_mode = spec_.method.async_writes ? evpath::SendMode::kAsync
@@ -587,19 +573,19 @@ Status StreamWriter::send_to_reader(const ReaderWork& work,
       piece.payload.resize(p.region.elements() * elem);
       adios::copy_region(block.meta.block, payload.data(), p.region,
                          piece.payload.data(), p.region, elem);
-      *pack_ns += metrics::now_ns() - pack_start;
+      tally->pack_ns += metrics::now_ns() - pack_start;
     }
     // Writer-side DC plug-in, if deployed against this variable. Plug-ins
     // may run concurrently against different pieces; they transform their
     // input and must not mutate shared state (DESIGN.md "Parallel pack").
     const auto plug = plugins_.find(p.var);
     if (plug != plugins_.end()) {
-      PerfMonitor::ScopedTimer pt(&monitor_, "plugin.exec");
+      metrics::ScopedTimerNs timer(&plugin_exec_hist());
       piece.materialize();  // plug-ins consume owned payload bytes
       auto transformed = plug->second(piece);
       if (!transformed.is_ok()) return transformed.status();
       piece = std::move(transformed).value();
-      monitor_.add_count("plugin.pieces", 1);
+      ++tally->plugin_pieces;
     }
     packed.push_back(std::move(piece));
   }
@@ -612,21 +598,20 @@ Status StreamWriter::send_to_reader(const ReaderWork& work,
                                    metrics::now_ns()};
     std::uint64_t bytes = 0;
     for (const auto& p : msg.pieces) bytes += p.bytes().size();
-    monitor_.add_count("bytes.sent", bytes);
-    monitor_.add_count("msgs.sent", 1);
+    tally->bytes_sent += bytes;
+    ++tally->msgs_sent;
     stream_bytes_sent_counter().add(bytes);
     // Scatter-gather framing: header slices interleaved with borrowed
     // payload views; transports gather them without a flat intermediate.
     const serial::IovMessage iov = wire::encode_data_iov(msg);
     const std::uint64_t enqueue_start = metrics::now_ns();
     const Status st = channel_->send_iov(work.dest, iov.frags, send_mode);
-    *enqueue_ns += metrics::now_ns() - enqueue_start;
+    tally->enqueue_ns += metrics::now_ns() - enqueue_start;
     return st;
   };
   Status sent = Status::ok();
   if (spec_.method.batching) {
     sent = send_batch(std::move(packed));
-    if (sent.is_ok()) monitor_.add_count("msgs.batched", 1);
   } else {
     for (auto& piece : packed) {
       std::vector<wire::DataPiece> one;
@@ -650,7 +635,6 @@ Status StreamWriter::send_to_reader(const ReaderWork& work,
     }
     channel_->drop_link(work.dest);
     dropped_pieces_counter().add(planned.size());
-    monitor_.add_count("membership.pieces_dropped", planned.size());
   }
   return Status::ok();
 }
@@ -692,22 +676,21 @@ Status StreamWriter::end_step_stream() {
   trace::Span span("writer.end_step");
   step_span_id_ = span.id();
   bool did_exchange = false;
+  const std::uint64_t handshake_start = metrics::now_ns();
   FLEXIO_RETURN_IF_ERROR(run_handshake(&did_exchange));
+  counts_.handshake_ns += metrics::now_ns() - handshake_start;
   return send_pieces();
 }
 
 wire::MonitorReport StreamWriter::build_report() const {
   wire::MonitorReport r;
   r.steps = steps_completed_;
-  r.bytes_sent = monitor_.count("bytes.sent");
-  r.pack_seconds = monitor_.total_time("write.pack");
-  r.handshake_seconds = monitor_.total_time("handshake.gather") +
-                        monitor_.total_time("handshake.exchange");
-  r.send_seconds = monitor_.total_time("write.send");
-  r.handshakes_performed = monitor_.count("handshake.performed");
-  r.handshakes_skipped = monitor_.count("handshake.skipped");
-  r.pack_ns = monitor_.count("phase.pack_ns");
-  r.enqueue_ns = monitor_.count("phase.enqueue_ns");
+  r.bytes_sent = counts_.bytes_sent;
+  r.handshakes_performed = counts_.handshakes_performed;
+  r.handshakes_skipped = counts_.handshakes_skipped;
+  r.handshake_ns = counts_.handshake_ns;
+  r.pack_ns = counts_.pack_ns;
+  r.enqueue_ns = counts_.enqueue_ns;
   r.phase_steps = steps_completed_;
   return r;
 }

@@ -57,8 +57,22 @@ class StreamWriter {
         channel_->peer_name(spec_.stream, reader_program_, reader_rank));
   }
 
-  /// Writer-side monitoring (Section II.G).
-  const PerfMonitor& monitor() const { return monitor_; }
+  /// Writer-side monitoring (Section II.G): exact with the metrics
+  /// registry off, and the source of the close-time wire::MonitorReport.
+  /// Only the thread driving the writer updates it; pool tasks count into
+  /// per-task slots that send_pieces folds in once the batch joins.
+  struct Counts {
+    std::uint64_t bytes_sent = 0;
+    std::uint64_t msgs_sent = 0;
+    std::uint64_t handshakes_performed = 0;
+    std::uint64_t handshakes_skipped = 0;
+    std::uint64_t plugin_pieces = 0;  // pieces a writer-side plug-in ran on
+    std::uint64_t plugins_removed = 0;
+    std::uint64_t handshake_ns = 0;
+    std::uint64_t pack_ns = 0;
+    std::uint64_t enqueue_ns = 0;
+  };
+  const Counts& counts() const { return counts_; }
 
   /// Packing concurrency the writer resolved at open() (method config,
   /// else FLEXIO_PACK_THREADS, else 1 = serial).
@@ -77,16 +91,14 @@ class StreamWriter {
 
   Status open(Runtime* rt, const StreamSpec& spec);
   Status end_step_stream();
-  Status end_step_file();
   Status run_handshake(bool* did_exchange);
   Status send_pieces();
   /// One pool task: pack, transform, and send every planned piece for one
   /// reader. Shared writer state is read-only while a batch is in flight
-  /// (see DESIGN.md "Parallel pack"); the out-params are this task's
-  /// private slots in the per-task timing vectors.
+  /// (see DESIGN.md "Parallel pack"); `tally` is this task's private slot
+  /// in the per-task counts.
   struct ReaderWork;
-  Status send_to_reader(const ReaderWork& work, std::uint64_t* pack_ns,
-                        std::uint64_t* enqueue_ns);
+  Status send_to_reader(const ReaderWork& work, Counts* tally);
   void rebuild_send_plan();
   bool plan_bindings_valid() const;
   wire::MonitorReport build_report() const;
@@ -174,7 +186,7 @@ class StreamWriter {
   // File mode.
   std::unique_ptr<adios::BpWriter> bp_;
 
-  PerfMonitor monitor_;
+  Counts counts_;
 };
 
 }  // namespace flexio

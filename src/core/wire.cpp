@@ -276,7 +276,7 @@ StatusOr<StepAnnounce> decode_step_announce(ByteView raw) {
   StepAnnounce m;
   FLEXIO_RETURN_IF_ERROR(r.get_i64(&m.step));
   std::uint64_t n = 0;
-  FLEXIO_RETURN_IF_ERROR(r.get_varint(&n));
+  FLEXIO_RETURN_IF_ERROR(r.get_count(&n));
   m.blocks.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) {
     BlockInfo b;
@@ -326,7 +326,7 @@ StatusOr<ReadRequest> decode_read_request(ByteView raw) {
   ReadRequest m;
   FLEXIO_RETURN_IF_ERROR(r.get_i64(&m.step));
   std::uint64_t n = 0;
-  FLEXIO_RETURN_IF_ERROR(r.get_varint(&n));
+  FLEXIO_RETURN_IF_ERROR(r.get_count(&n));
   m.selections.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) {
     SelectionInfo s;
@@ -337,7 +337,7 @@ StatusOr<ReadRequest> decode_read_request(ByteView raw) {
     FLEXIO_RETURN_IF_ERROR(get_box(&r, &s.box));
     m.selections.push_back(std::move(s));
   }
-  FLEXIO_RETURN_IF_ERROR(r.get_varint(&n));
+  FLEXIO_RETURN_IF_ERROR(r.get_count(&n));
   m.pg_requests.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) {
     PgRequestInfo p;
@@ -348,7 +348,7 @@ StatusOr<ReadRequest> decode_read_request(ByteView raw) {
     p.writer_rank = static_cast<int>(b);
     m.pg_requests.push_back(p);
   }
-  FLEXIO_RETURN_IF_ERROR(r.get_varint(&n));
+  FLEXIO_RETURN_IF_ERROR(r.get_count(&n));
   m.plugins.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) {
     PluginInstall p;
@@ -459,22 +459,7 @@ StatusOr<PluginInstall> decode_plugin_install(ByteView raw) {
 std::vector<std::byte> encode(const MonitorReport& m) {
   BufWriter w;
   w.put_u8(static_cast<std::uint8_t>(MsgType::kMonitorReport));
-  w.put_u64(m.steps);
-  w.put_u64(m.bytes_sent);
-  w.put_f64(m.pack_seconds);
-  w.put_f64(m.handshake_seconds);
-  w.put_f64(m.send_seconds);
-  w.put_u64(m.handshakes_performed);
-  w.put_u64(m.handshakes_skipped);
-  // Phase-attribution trailer (v1). Old decoders never read this far; old
-  // frames end here and decode with all-zero phase fields.
-  w.put_u8(1);
-  w.put_u64(m.pack_ns);
-  w.put_u64(m.enqueue_ns);
-  w.put_u64(m.transfer_ns);
-  w.put_u64(m.unpack_ns);
-  w.put_u64(m.total_ns);
-  w.put_u64(m.phase_steps);
+  for (const auto& f : kMonitorReportFields) w.put_u64(m.*f.second);
   return w.take();
 }
 
@@ -482,24 +467,8 @@ StatusOr<MonitorReport> decode_monitor_report(ByteView raw) {
   BufReader r{raw};
   FLEXIO_RETURN_IF_ERROR(expect_type(&r, MsgType::kMonitorReport));
   MonitorReport m;
-  FLEXIO_RETURN_IF_ERROR(r.get_u64(&m.steps));
-  FLEXIO_RETURN_IF_ERROR(r.get_u64(&m.bytes_sent));
-  FLEXIO_RETURN_IF_ERROR(r.get_f64(&m.pack_seconds));
-  FLEXIO_RETURN_IF_ERROR(r.get_f64(&m.handshake_seconds));
-  FLEXIO_RETURN_IF_ERROR(r.get_f64(&m.send_seconds));
-  FLEXIO_RETURN_IF_ERROR(r.get_u64(&m.handshakes_performed));
-  FLEXIO_RETURN_IF_ERROR(r.get_u64(&m.handshakes_skipped));
-  if (!r.at_end()) {
-    std::uint8_t version = 0;
-    FLEXIO_RETURN_IF_ERROR(r.get_u8(&version));
-    if (version >= 1) {
-      FLEXIO_RETURN_IF_ERROR(r.get_u64(&m.pack_ns));
-      FLEXIO_RETURN_IF_ERROR(r.get_u64(&m.enqueue_ns));
-      FLEXIO_RETURN_IF_ERROR(r.get_u64(&m.transfer_ns));
-      FLEXIO_RETURN_IF_ERROR(r.get_u64(&m.unpack_ns));
-      FLEXIO_RETURN_IF_ERROR(r.get_u64(&m.total_ns));
-      FLEXIO_RETURN_IF_ERROR(r.get_u64(&m.phase_steps));
-    }
+  for (const auto& f : kMonitorReportFields) {
+    FLEXIO_RETURN_IF_ERROR(r.get_u64(&(m.*f.second)));
   }
   return m;
 }
@@ -528,7 +497,7 @@ StatusOr<MembershipUpdate> decode_membership_update(ByteView raw) {
   FLEXIO_RETURN_IF_ERROR(r.get_string(&m.stream));
   FLEXIO_RETURN_IF_ERROR(r.get_varint(&m.epoch));
   std::uint64_t n = 0;
-  FLEXIO_RETURN_IF_ERROR(r.get_varint(&n));
+  FLEXIO_RETURN_IF_ERROR(r.get_count(&n));
   m.members.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) {
     MemberInfo mi;

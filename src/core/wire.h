@@ -14,6 +14,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "adios/var.h"
@@ -189,23 +190,39 @@ struct DataMsg {
 
 /// Writer coordinator -> reader coordinator at close: aggregated writer-
 /// side monitoring (Section II.G "transferred to the analytics side").
+/// A fixed record of counts and nanosecond sums.
 struct MonitorReport {
   std::uint64_t steps = 0;
   std::uint64_t bytes_sent = 0;
-  double pack_seconds = 0;
-  double handshake_seconds = 0;
-  double send_seconds = 0;
   std::uint64_t handshakes_performed = 0;
   std::uint64_t handshakes_skipped = 0;
-  // Per-phase step attribution (wire trailer v1; all-zero when decoding an
-  // old-format frame). Writer fills pack/enqueue, reader fills
-  // transfer/unpack/total; each is a sum over phase_steps steps.
+  std::uint64_t handshake_ns = 0;
+  // Per-phase step attribution, each a sum over phase_steps steps. The
+  // writer fills pack/enqueue; transfer/unpack/total are reader-side
+  // phases, filled by cluster_phase_report (core/monitor.h).
   std::uint64_t pack_ns = 0;
   std::uint64_t enqueue_ns = 0;
   std::uint64_t transfer_ns = 0;
   std::uint64_t unpack_ns = 0;
   std::uint64_t total_ns = 0;
   std::uint64_t phase_steps = 0;
+};
+
+/// MonitorReport's fields in wire order, named as dump_csv writes them.
+/// Encode, decode and the CSV dump all walk this one table.
+inline constexpr std::pair<const char*, std::uint64_t MonitorReport::*>
+    kMonitorReportFields[] = {
+        {"steps", &MonitorReport::steps},
+        {"bytes_sent", &MonitorReport::bytes_sent},
+        {"handshakes_performed", &MonitorReport::handshakes_performed},
+        {"handshakes_skipped", &MonitorReport::handshakes_skipped},
+        {"handshake_ns", &MonitorReport::handshake_ns},
+        {"pack_ns", &MonitorReport::pack_ns},
+        {"enqueue_ns", &MonitorReport::enqueue_ns},
+        {"transfer_ns", &MonitorReport::transfer_ns},
+        {"unpack_ns", &MonitorReport::unpack_ns},
+        {"total_ns", &MonitorReport::total_ns},
+        {"phase_steps", &MonitorReport::phase_steps},
 };
 
 /// One member record inside a MembershipUpdate. `state` mirrors

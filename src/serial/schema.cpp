@@ -99,7 +99,7 @@ StatusOr<Schema> Schema::decode(BufReader* r) {
   std::string name;
   FLEXIO_RETURN_IF_ERROR(r->get_string(&name));
   std::uint64_t count = 0;
-  FLEXIO_RETURN_IF_ERROR(r->get_varint(&count));
+  FLEXIO_RETURN_IF_ERROR(r->get_count(&count));
   std::vector<FieldDesc> fields;
   fields.reserve(count);
   for (std::uint64_t i = 0; i < count; ++i) {
@@ -380,7 +380,7 @@ StatusOr<Record> Record::decode(const Schema& schema, BufReader* r) {
       continue;
     }
     std::uint64_t n = 0;
-    FLEXIO_RETURN_IF_ERROR(r->get_varint(&n));
+    FLEXIO_RETURN_IF_ERROR(r->get_count(&n));
     if (f.type == DataType::kDouble || f.type == DataType::kFloat) {
       std::vector<double> arr;
       arr.reserve(n);

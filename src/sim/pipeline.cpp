@@ -17,7 +17,6 @@ PipelineTrace simulate_pipeline(const PipelineSpec& spec) {
   int produced = 0;
   double channel_free = 0;
   double consumer_free = 0;
-  double last_ready = 0;
 
   // The chain is sequential, so a simple loop with simulated clocks is
   // exact; the event engine schedules the consumer completions so the
@@ -31,7 +30,6 @@ PipelineTrace simulate_pipeline(const PipelineSpec& spec) {
     const double transfer_start = std::max(producer_clock, channel_free);
     const double transfer_end = transfer_start + spec.movement_seconds;
     channel_free = transfer_end;
-    last_ready = transfer_end;
     if (!spec.async_movement) {
       // Synchronous: the producer blocks until its transfer completed.
       producer_clock = transfer_end;

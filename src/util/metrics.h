@@ -13,10 +13,12 @@
 //  * A process-wide fake clock hook makes every timing metric (and trace
 //    span) deterministic under test.
 //
-// Unlike core/monitor.h's PerfMonitor -- which is per-stream state that
-// feeds the wire::MonitorReport shipped to the analytics side -- this
-// registry is process-global and feeds offline tooling: bench/report.h
-// counter deltas, tools/flexio_trace dumps, and test invariants.
+// The registry is the runtime's only instrumentation path. It is
+// process-global and feeds offline tooling (bench/report.h counter deltas,
+// tools/flexio_trace dumps), the live telemetry plane, and test
+// invariants. The wire::MonitorReport shipped to the analytics side stays
+// exact with the registry off: StreamWriter keeps its few counts as plain
+// fields (StreamWriter::counts()).
 #pragma once
 
 #include <atomic>

@@ -468,7 +468,7 @@ TEST(PluginTest, EndToEndMobileCodeletOverStream) {
       ASSERT_TRUE(w.value()->end_step().is_ok());
     }
     ASSERT_TRUE(w.value()->close().is_ok());
-    EXPECT_EQ(w.value()->monitor().count("plugin.pieces"), 2u);
+    EXPECT_EQ(w.value()->counts().plugin_pieces, 2u);
   });
   std::thread reader([&] {
     StreamSpec spec;

@@ -10,6 +10,7 @@
 #include "core/redistribution.h"
 #include "core/stream_reader.h"
 #include "core/stream_writer.h"
+#include "util/metrics.h"
 #include "util/rng.h"
 
 namespace flexio {
@@ -169,6 +170,10 @@ PluginCompiler doubling_compiler() {
 }
 
 TEST(PluginMobilityTest, MigratesBetweenAddressSpacesAtRuntime) {
+  const bool metrics_was = metrics::enabled();
+  metrics::set_enabled(true);
+  metrics::Histogram& exec_hist = metrics::histogram("flexio.plugin.exec.ns");
+  const std::uint64_t execs_before = exec_hist.snapshot().count;
   Runtime rt;
   rt.set_plugin_compiler(doubling_compiler());
   Program sim("sim", 1), viz("viz", 1);
@@ -193,8 +198,8 @@ TEST(PluginMobilityTest, MigratesBetweenAddressSpacesAtRuntime) {
     }
     ASSERT_TRUE(w.value()->close().is_ok());
     // Ran at the writer for the middle two steps only.
-    EXPECT_EQ(w.value()->monitor().count("plugin.pieces"), 2u);
-    EXPECT_EQ(w.value()->monitor().count("plugin.removed"), 1u);
+    EXPECT_EQ(w.value()->counts().plugin_pieces, 2u);
+    EXPECT_EQ(w.value()->counts().plugins_removed, 1u);
   });
   std::thread reader([&] {
     StreamSpec spec;
@@ -228,6 +233,10 @@ TEST(PluginMobilityTest, MigratesBetweenAddressSpacesAtRuntime) {
   });
   writer.join();
   reader.join();
+  // One execution sample per transformed piece, on whichever side ran it:
+  // two at the writer, one at the reader.
+  EXPECT_EQ(exec_hist.snapshot().count - execs_before, 3u);
+  metrics::set_enabled(metrics_was);
 }
 
 TEST(PluginMobilityTest, CachingAllRejectsLatePluginInstall) {

@@ -5,9 +5,11 @@
 
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <numeric>
 #include <thread>
 
+#include "core/monitor.h"
 #include "core/program.h"
 #include "core/redistribution.h"
 #include "core/runtime.h"
@@ -137,12 +139,12 @@ TEST(WireTest, AllMessagesRoundTrip) {
   EXPECT_EQ(wire::peek_type(ByteView(wire::encode_close(7))).value(),
             wire::MsgType::kClose);
 
-  wire::MonitorReport report{5, 1000, 0.5, 0.25, 0.125, 4, 1};
+  wire::MonitorReport report{5, 1000, 4, 1, 250};
   auto decoded_rep =
       wire::decode_monitor_report(ByteView(wire::encode(report)));
   ASSERT_TRUE(decoded_rep.is_ok());
   EXPECT_EQ(decoded_rep.value().steps, 5u);
-  EXPECT_DOUBLE_EQ(decoded_rep.value().handshake_seconds, 0.25);
+  EXPECT_EQ(decoded_rep.value().handshake_ns, 250u);
 }
 
 TEST(WireTest, TraceContextTrailerRoundTrips) {
@@ -213,7 +215,7 @@ TEST(WireTest, StreamIdHashStable) {
 }
 
 TEST(WireTest, MonitorReportPhaseFieldsRoundTrip) {
-  wire::MonitorReport report{5, 1000, 0.5, 0.25, 0.125, 4, 1};
+  wire::MonitorReport report{5, 1000, 4, 1, 250};
   report.pack_ns = 111;
   report.enqueue_ns = 222;
   report.transfer_ns = 333;
@@ -223,39 +225,16 @@ TEST(WireTest, MonitorReportPhaseFieldsRoundTrip) {
   auto decoded = wire::decode_monitor_report(ByteView(wire::encode(report)));
   ASSERT_TRUE(decoded.is_ok());
   EXPECT_EQ(decoded.value().steps, 5u);
+  EXPECT_EQ(decoded.value().bytes_sent, 1000u);
+  EXPECT_EQ(decoded.value().handshakes_performed, 4u);
+  EXPECT_EQ(decoded.value().handshakes_skipped, 1u);
+  EXPECT_EQ(decoded.value().handshake_ns, 250u);
   EXPECT_EQ(decoded.value().pack_ns, 111u);
   EXPECT_EQ(decoded.value().enqueue_ns, 222u);
   EXPECT_EQ(decoded.value().transfer_ns, 333u);
   EXPECT_EQ(decoded.value().unpack_ns, 444u);
   EXPECT_EQ(decoded.value().total_ns, 555u);
   EXPECT_EQ(decoded.value().phase_steps, 5u);
-}
-
-TEST(WireTest, MonitorReportOldFormatDecodesWithZeroPhases) {
-  // A frame hand-encoded the way the pre-phase format wrote it: seven
-  // fields and nothing after them. Decode must succeed with all phase
-  // fields zero (the versioned-trailer compatibility contract).
-  serial::BufWriter w;
-  w.put_u8(static_cast<std::uint8_t>(wire::MsgType::kMonitorReport));
-  w.put_u64(5);
-  w.put_u64(1000);
-  w.put_f64(0.5);
-  w.put_f64(0.25);
-  w.put_f64(0.125);
-  w.put_u64(4);
-  w.put_u64(1);
-  auto decoded = wire::decode_monitor_report(ByteView(w.take()));
-  ASSERT_TRUE(decoded.is_ok());
-  EXPECT_EQ(decoded.value().steps, 5u);
-  EXPECT_EQ(decoded.value().bytes_sent, 1000u);
-  EXPECT_DOUBLE_EQ(decoded.value().handshake_seconds, 0.25);
-  EXPECT_EQ(decoded.value().handshakes_performed, 4u);
-  EXPECT_EQ(decoded.value().pack_ns, 0u);
-  EXPECT_EQ(decoded.value().enqueue_ns, 0u);
-  EXPECT_EQ(decoded.value().transfer_ns, 0u);
-  EXPECT_EQ(decoded.value().unpack_ns, 0u);
-  EXPECT_EQ(decoded.value().total_ns, 0u);
-  EXPECT_EQ(decoded.value().phase_steps, 0u);
 }
 
 TEST(WireTest, OldFormatStepAnnounceDecodesWithoutTrace) {
@@ -401,6 +380,65 @@ TEST(WireTest, CorruptFramesRejected) {
   std::vector<std::byte> truncated = wire::encode(wire::OpenRequest{"x", 1});
   truncated.resize(1);
   EXPECT_FALSE(wire::decode_open_request(ByteView(truncated)).is_ok());
+
+  // A garbage element count must come back as a Status. Reserving it
+  // instead throws length_error (2^60) or bad_alloc (2^40) through the
+  // decoder. Each input is a valid prefix followed by one huge count.
+  const auto type_byte = [](wire::MsgType t) {
+    serial::BufWriter w;
+    w.put_u8(static_cast<std::uint8_t>(t));
+    return w;
+  };
+  // Whether `decode` accepts `raw`; a throw fails the test.
+  const auto decode_ok = [](const auto& decode, std::vector<std::byte> raw) {
+    bool ok = true;
+    EXPECT_NO_THROW(ok = decode(ByteView(raw)).is_ok());
+    return ok;
+  };
+  for (const std::uint64_t huge :
+       {std::uint64_t{1} << 40, std::uint64_t{1} << 60}) {
+    SCOPED_TRACE(huge);
+    serial::BufWriter ann = type_byte(wire::MsgType::kStepAnnounce);
+    ann.put_i64(3);
+    ann.put_varint(huge);  // block count
+    EXPECT_FALSE(decode_ok(wire::decode_step_announce, ann.take()));
+    // Selection, pg-request and plug-in counts, each in turn.
+    for (int patched = 0; patched < 3; ++patched) {
+      serial::BufWriter req = type_byte(wire::MsgType::kReadRequest);
+      req.put_i64(3);
+      for (int i = 0; i <= patched; ++i) {
+        req.put_varint(i == patched ? huge : 0);
+      }
+      EXPECT_FALSE(decode_ok(wire::decode_read_request, req.take()))
+          << "count " << patched;
+    }
+    serial::BufWriter upd = type_byte(wire::MsgType::kMembershipUpdate);
+    upd.put_string("s");
+    upd.put_varint(7);     // epoch
+    upd.put_varint(huge);  // member count
+    EXPECT_FALSE(decode_ok(wire::decode_membership_update, upd.take()));
+
+    serial::BufWriter schema_raw;
+    schema_raw.put_string("s");
+    schema_raw.put_varint(huge);  // field count
+    const auto decode_schema = [](ByteView raw) {
+      serial::BufReader r{raw};
+      return serial::Schema::decode(&r);
+    };
+    EXPECT_FALSE(decode_ok(decode_schema, schema_raw.take()));
+
+    for (const DataType t : {DataType::kDouble, DataType::kInt64}) {
+      const serial::Schema schema("s", {{"arr", t, true}});
+      serial::BufWriter rec_raw;
+      rec_raw.put_u64(schema.fingerprint());
+      rec_raw.put_varint(huge);  // array length
+      const auto decode_record = [&schema](ByteView raw) {
+        serial::BufReader r{raw};
+        return serial::Record::decode(schema, &r);
+      };
+      EXPECT_FALSE(decode_ok(decode_record, rec_raw.take()));
+    }
+  }
 }
 
 // ------------------------------------------------------- planning tests --
@@ -668,8 +706,12 @@ INSTANTIATE_TEST_SUITE_P(
     [](const auto& suite_info) { return std::string(suite_info.param.name); });
 
 TEST(PipelineModesTest, CachingSkipsHandshakes) {
-  // Run a caching=all pipeline and confirm the writer-side report shows
-  // exactly one performed handshake and the rest skipped.
+  // Run a caching=all pipeline with the metrics registry off (the shipped
+  // default) and confirm the writer-side report is still exact: one
+  // performed handshake and the rest skipped, every written byte sent, and
+  // a CSV dump that round-trips every field.
+  const bool metrics_was = metrics::enabled();
+  metrics::set_enabled(false);
   Runtime rt;
   Program sim("sim", 1);
   Program viz("viz", 1);
@@ -719,9 +761,42 @@ TEST(PipelineModesTest, CachingSkipsHandshakes) {
   });
   writer.join();
   reader.join();
+  metrics::set_enabled(metrics_was);
   ASSERT_TRUE(report.has_value());
+  const auto steps = static_cast<std::uint64_t>(kSteps);
+  EXPECT_EQ(report->steps, steps);
   EXPECT_EQ(report->handshakes_performed, 1u);
-  EXPECT_EQ(report->handshakes_skipped, static_cast<std::uint64_t>(kSteps - 1));
+  EXPECT_EQ(report->handshakes_skipped, steps - 1);
+  EXPECT_EQ(report->bytes_sent, steps * 8 * sizeof(double));
+  EXPECT_EQ(report->phase_steps, steps);
+  EXPECT_GT(report->handshake_ns, 0u);
+  EXPECT_GT(report->enqueue_ns, 0u);
+
+  const std::string path = ::testing::TempDir() + "/caching_report.csv";
+  ASSERT_TRUE(dump_csv(*report, path).is_ok());
+  std::ifstream in(path);
+  std::string line;
+  ASSERT_TRUE(std::getline(in, line));
+  EXPECT_EQ(line, "field,value");
+  wire::MonitorReport parsed;
+  std::size_t rows = 0;
+  while (std::getline(in, line)) {
+    ++rows;
+    const std::size_t comma = line.find(',');
+    ASSERT_NE(comma, std::string::npos) << line;
+    const std::string field = line.substr(0, comma);
+    bool known = false;
+    for (const auto& [name, member] : wire::kMonitorReportFields) {
+      if (field != name) continue;
+      parsed.*member = std::stoull(line.substr(comma + 1));
+      known = true;
+    }
+    EXPECT_TRUE(known) << line;
+  }
+  EXPECT_EQ(rows, std::size(wire::kMonitorReportFields));
+  for (const auto& [name, member] : wire::kMonitorReportFields) {
+    EXPECT_EQ(parsed.*member, report.value().*member) << name;
+  }
 }
 
 TEST(PipelineModesTest, PlanCacheFollowsHandshakeRefresh) {
@@ -951,7 +1026,7 @@ TEST_P(PersistentWriterBufferTest, SmallerBlockAfterLargerArrivesExactly) {
 
 INSTANTIATE_TEST_SUITE_P(CachingLevels, PersistentWriterBufferTest,
                          ::testing::Values("none", "local", "all"),
-                         [](const auto& info) { return std::string(info.param); });
+                         [](const auto& p) { return std::string(p.param); });
 
 TEST(PipelineModesTest, CachedStepsRecordStepTotals) {
   // Under caching=all only step 0 carries an announce; the later steps are
@@ -1020,7 +1095,7 @@ TEST(PipelineModesTest, WriterSidePluginFiltersParticles) {
     ASSERT_TRUE(w.value()->end_step().is_ok());
     ASSERT_TRUE(w.value()->close().is_ok());
     // The plug-in ran inside the writer's address space.
-    EXPECT_EQ(w.value()->monitor().count("plugin.pieces"), 1u);
+    EXPECT_EQ(w.value()->counts().plugin_pieces, 1u);
   });
   std::thread reader([&] {
     StreamSpec spec;
@@ -1184,25 +1259,6 @@ TEST(StreamApiTest, SequencingErrorsSurfaced) {
   });
   writer.join();
   reader.join();
-}
-
-TEST(MonitorTest, MetricsAccumulate) {
-  PerfMonitor m;
-  m.record_time("phase.a", 0.5);
-  m.record_time("phase.a", 1.5);
-  m.add_count("bytes", 100);
-  m.add_count("bytes", 50);
-  EXPECT_EQ(m.time_stats("phase.a").count(), 2u);
-  EXPECT_DOUBLE_EQ(m.total_time("phase.a"), 2.0);
-  EXPECT_EQ(m.count("bytes"), 150u);
-  EXPECT_EQ(m.count("missing"), 0u);
-  EXPECT_NE(m.report().find("phase.a"), std::string::npos);
-  const std::string path = ::testing::TempDir() + "/monitor.csv";
-  ASSERT_TRUE(m.dump_csv(path).is_ok());
-  std::ifstream in(path);
-  std::string header;
-  std::getline(in, header);
-  EXPECT_EQ(header, "metric,kind,count,total,mean,min,max");
 }
 
 }  // namespace

@@ -344,34 +344,44 @@ TEST(AdvisorTest, WriterHeadroomAbsorbsCost) {
 TEST(AdvisorTest, InputsFromShippedReport) {
   wire::MonitorReport report;
   report.steps = 10;
-  report.send_seconds = 0.5;  // 50 ms visible send per step
+  report.phase_steps = 10;
+  report.pack_ns = 200'000'000;     // 50 ms of pack + transport hand-off
+  report.enqueue_ns = 300'000'000;  // per step
   const auto in = inputs_from_reports(report, 110e6, 0.2, 0.02, 1.5e9);
   EXPECT_NEAR(in.writer_headroom_seconds, 0.05, 1e-12);
   EXPECT_TRUE(advise_plugin_placement(in).run_at_writer);
+
+  // A report that covers no steps gives no headroom (not 0/0).
+  report.phase_steps = 0;
+  EXPECT_EQ(inputs_from_reports(report, 110e6, 0.2, 0.02, 1.5e9)
+                .writer_headroom_seconds,
+            0.0);
 }
 
 // ------------------------------------------------- monitoring trace dump --
 
 TEST(MonitorTraceTest, CsvIsParseable) {
-  PerfMonitor monitor;
-  monitor.record_time("io.write", 0.25);
-  monitor.record_time("io.write", 0.75);
-  monitor.add_count("bytes", 4096);
+  wire::MonitorReport report;
+  report.bytes_sent = 4096;
+  report.handshake_ns = 250'000'000;
   const std::string path = ::testing::TempDir() + "/trace.csv";
-  ASSERT_TRUE(monitor.dump_csv(path).is_ok());
+  ASSERT_TRUE(dump_csv(report, path).is_ok());
   std::ifstream in(path);
   std::string line;
-  std::getline(in, line);  // header
+  std::getline(in, line);
+  EXPECT_EQ(line, "field,value");
   int rows = 0;
-  bool saw_time = false, saw_count = false;
+  bool saw_bytes = false, saw_handshake = false;
   while (std::getline(in, line)) {
     ++rows;
-    if (line.find("io.write,time,2,") == 0) saw_time = true;
-    if (line.find("bytes,count,4096") == 0) saw_count = true;
+    if (line == "bytes_sent,4096") saw_bytes = true;
+    if (line == "handshake_ns,250000000") saw_handshake = true;
   }
-  EXPECT_EQ(rows, 2);
-  EXPECT_TRUE(saw_time);
-  EXPECT_TRUE(saw_count);
+  EXPECT_EQ(rows, static_cast<int>(std::size(wire::kMonitorReportFields)));
+  EXPECT_TRUE(saw_bytes);
+  EXPECT_TRUE(saw_handshake);
+  EXPECT_FALSE(dump_csv(report, ::testing::TempDir() + "/no/such/dir.csv")
+                   .is_ok());
 }
 
 }  // namespace

@@ -112,7 +112,7 @@ TEST_P(PackParallelOracleTest, ThreadCountNeverChangesBytesOrCopies) {
 
 INSTANTIATE_TEST_SUITE_P(CachingMatrix, PackParallelOracleTest,
                          ::testing::Values("none", "local", "all"),
-                         [](const auto& info) { return std::string(info.param); });
+                         [](const auto& p) { return std::string(p.param); });
 
 // ------------------------------------------------- reader unpack oracle --
 //
@@ -219,7 +219,7 @@ TEST_P(UnpackParallelOracleTest, ThreadCountNeverChangesDeliveredBytes) {
 
 INSTANTIATE_TEST_SUITE_P(CachingMatrix, UnpackParallelOracleTest,
                          ::testing::Values("none", "local", "all"),
-                         [](const auto& info) { return std::string(info.param); });
+                         [](const auto& p) { return std::string(p.param); });
 
 }  // namespace
 }  // namespace flexio::torture

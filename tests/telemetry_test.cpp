@@ -589,7 +589,6 @@ TEST(MonitorTest, ClusterPhaseReportFoldsAcrossRanks) {
   EXPECT_EQ(viz.phase_steps, 20u);
   EXPECT_EQ(viz.bytes_sent, 8192u);
   EXPECT_EQ(viz.handshakes_performed, 6u);
-  EXPECT_DOUBLE_EQ(viz.pack_seconds, 2000e-9);
 }
 
 // ------------------------------------------------------------ stats server --
