@@ -109,7 +109,7 @@ ScenarioOut run_scenario(bool with_elephants) {
       const std::int64_t now = now_ns();
       if (msg.eos) continue;
       const auto frame = wire::decode_mux(ByteView(msg.payload));
-      if (!frame.is_ok() || frame.value().stream_id == 0) continue;
+      if (!frame.is_ok()) continue;
       const ByteView inner = frame.value().inner;
       if (inner.size() < sizeof(std::int64_t)) continue;
       const auto it = mouse_index.find(frame.value().stream_id);

@@ -39,11 +39,6 @@ class Program {
   int size() const { return size_; }
   static constexpr int kCoordinator = 0;
 
-  /// Endpoint name for one rank, shared convention across the runtime.
-  std::string endpoint_name(int rank) const {
-    return name_ + "." + std::to_string(rank);
-  }
-
   /// Gather: every active rank contributes a byte blob; the coordinator's
   /// `all` receives them indexed by rank (others get an empty vector).
   /// Slots of inactive ranks stay empty -- consumers must skip them.

@@ -85,15 +85,6 @@ class Runtime {
   /// of process without a protocol change.
   Status deliver_heartbeat(ByteView frame);
 
-  /// Endpoint name convention: streams are isolated namespaces. This is
-  /// the *dedicated* (default) convention; with shared_links the registry
-  /// names endpoints per (program, rank) instead -- always derive peer
-  /// names through StreamChannel::peer_name, which knows the mode.
-  static std::string endpoint_name(const std::string& stream,
-                                   const std::string& program, int rank) {
-    return StreamRegistry::dedicated_endpoint_name(stream, program, rank);
-  }
-
  private:
   friend class StreamWriter;
   friend class StreamReader;

@@ -70,18 +70,13 @@ metrics::Histogram& plugin_exec_hist() {
   return h;
 }
 
-/// Encoded per-rank contribution to the read request (Step 1.a payload).
-std::vector<std::byte> encode_rank_request(const wire::ReadRequest& req) {
-  return wire::encode(req);
-}
-
 }  // namespace
 
 StreamReader::~StreamReader() { (void)close(); }
 
 void StreamReader::observe_data_msg(const wire::DataMsg& m) {
-  if (!m.trace) return;
-  const std::uint64_t send_ns = m.trace->send_ns;
+  const std::uint64_t send_ns = m.trace.send_ns;
+  if (send_ns == 0) return;
   trace::clock_sample(send_ns);
   StepWire& acc = step_wire_[m.step];
   if (!acc.first_send_ns || send_ns < *acc.first_send_ns) {
@@ -169,7 +164,7 @@ Status StreamReader::open(Runtime* rt, const StreamSpec& spec) {
     FLEXIO_RETURN_IF_ERROR(program_->barrier(rank_, timeout_));
   }
 
-  std::vector<std::byte> info;
+  std::vector<std::byte> reply_raw;
   if (rank_ == Program::kCoordinator) {
     // Directory lookup, then the open handshake with the writer coordinator.
     auto contact = rt->directory().lookup(spec.stream, timeout_);
@@ -190,31 +185,11 @@ Status StreamReader::open(Runtime* rt, const StreamSpec& spec) {
         channel_->send(writer_coord_, ByteView(wire::encode(req))));
     evpath::Message msg;
     FLEXIO_RETURN_IF_ERROR(channel_->recv_from(writer_coord_, &msg, timeout_));
-    auto reply = wire::decode_open_reply(ByteView(msg.payload));
-    if (!reply.is_ok()) return reply.status();
-    writer_program_ = reply.value().writer_program;
-    writer_size_ = reply.value().writer_size;
-    caching_ = static_cast<xml::CachingLevel>(reply.value().caching);
-    batching_ = reply.value().batching;
-    serial::BufWriter w;
-    w.put_string(writer_program_);
-    w.put_string(writer_coord_);
-    w.put_varint(static_cast<std::uint64_t>(writer_size_));
-    w.put_u8(reply.value().caching);
-    info = w.take();
+    reply_raw.assign(msg.payload.begin(), msg.payload.end());
   }
-  FLEXIO_RETURN_IF_ERROR(program_->broadcast(rank_, &info, timeout_));
-  if (rank_ != Program::kCoordinator) {
-    serial::BufReader r{ByteView(info)};
-    FLEXIO_RETURN_IF_ERROR(r.get_string(&writer_program_));
-    FLEXIO_RETURN_IF_ERROR(r.get_string(&writer_coord_));
-    std::uint64_t size = 0;
-    FLEXIO_RETURN_IF_ERROR(r.get_varint(&size));
-    writer_size_ = static_cast<int>(size);
-    std::uint8_t caching = 0;
-    FLEXIO_RETURN_IF_ERROR(r.get_u8(&caching));
-    caching_ = static_cast<xml::CachingLevel>(caching);
-  }
+  // Every rank decodes the writer coordinator's OpenReply frame itself.
+  FLEXIO_RETURN_IF_ERROR(program_->broadcast(rank_, &reply_raw, timeout_));
+  FLEXIO_RETURN_IF_ERROR(apply_open_reply(ByteView(reply_raw)));
   if (membership_) {
     start_heartbeats();
     if (rank_ == Program::kCoordinator) {
@@ -265,12 +240,7 @@ Status StreamReader::open_late_join(Runtime* rt) {
   // coordinator is not listening for opens.
   auto info = rt->directory().lookup_info(spec_.stream, timeout_);
   if (!info.is_ok()) return info.status();
-  auto reply = wire::decode_open_reply(ByteView(info.value()));
-  if (!reply.is_ok()) return reply.status();
-  writer_program_ = reply.value().writer_program;
-  writer_size_ = reply.value().writer_size;
-  caching_ = static_cast<xml::CachingLevel>(reply.value().caching);
-  batching_ = reply.value().batching;
+  FLEXIO_RETURN_IF_ERROR(apply_open_reply(ByteView(info.value())));
   auto contact = rt->directory().lookup(spec_.stream, timeout_);
   if (!contact.is_ok()) return contact.status();
   writer_coord_ = contact.value();
@@ -310,6 +280,15 @@ Status StreamReader::open_late_join(Runtime* rt) {
   return program_->await_admission(rank_, join_epoch_, timeout_);
 }
 
+Status StreamReader::apply_open_reply(ByteView raw) {
+  auto reply = wire::decode_open_reply(raw);
+  if (!reply.is_ok()) return reply.status();
+  writer_program_ = reply.value().writer_program;
+  writer_size_ = reply.value().writer_size;
+  caching_ = static_cast<xml::CachingLevel>(reply.value().caching);
+  return Status::ok();
+}
+
 void StreamReader::start_heartbeats() {
   hb_stop_.store(false, std::memory_order_release);
   hb_stats_.prime();  // piggybacked deltas start from the join, not birth
@@ -334,7 +313,7 @@ void StreamReader::start_heartbeats() {
         hb.send_ns = metrics::now_ns();
         if (telemetry::publish_enabled()) {
           // Piggyback this rank's registry deltas since the last beat;
-          // empty when nothing changed (the trailer is then omitted).
+          // empty when nothing changed.
           hb.program = spec_.endpoint.program != nullptr
                            ? spec_.endpoint.program->name()
                            : "";
@@ -622,8 +601,8 @@ StatusOr<StepId> StreamReader::begin_step_stream() {
     if (ft.is_ok() && ft.value() == wire::MsgType::kStepAnnounce) {
       auto ann = wire::decode_step_announce(ByteView(frame));
       if (!ann.is_ok()) return ann.status();
-      if (ann.value().membership_epoch) {
-        apply_membership(*ann.value().membership_epoch);
+      if (ann.value().membership_epoch != 0) {
+        apply_membership(ann.value().membership_epoch);
       }
     }
   }
@@ -644,14 +623,9 @@ StatusOr<StepId> StreamReader::begin_step_stream() {
   auto ann = wire::decode_step_announce(ByteView(frame));
   if (!ann.is_ok()) return ann.status();
   step_ = ann.value().step;
-  have_announce_epoch_ = ann.value().membership_epoch.has_value();
-  if (have_announce_epoch_) announce_epoch_ = *ann.value().membership_epoch;
-  have_announce_ctx_ = false;
-  if (ann.value().trace) {
-    announce_ctx_ = *ann.value().trace;
-    have_announce_ctx_ = true;
-    trace::clock_sample(announce_ctx_.send_ns);
-  }
+  announce_epoch_ = ann.value().membership_epoch;
+  announce_ctx_ = ann.value().trace;
+  trace::clock_sample(announce_ctx_.send_ns);  // skips a zero context
   if (!ann.value().blocks.empty() || steps_completed_ == 0) {
     step_blocks_ = std::move(ann.value().blocks);
   }
@@ -853,13 +827,12 @@ Status StreamReader::perform_reads_file() {
 Status StreamReader::perform_reads_stream() {
   // Annotate this step's spans with {stream, step} and parent them under
   // the writer's end_step span from the announce's trace context.
-  trace::StepScope step_scope(stream_id_, step_,
-                              have_announce_ctx_ ? announce_ctx_.span_id : 0);
+  trace::StepScope step_scope(stream_id_, step_, announce_ctx_.span_id);
   trace::Span span("reader.perform_reads");
   // An announce stamped with an epoch other than the one the cached
   // handshake was exchanged under invalidates the cache: re-exchange and
   // re-plan even when CACHING_ALL would skip it.
-  const bool epoch_changed = membership_ && have_announce_epoch_ &&
+  const bool epoch_changed = membership_ && announce_epoch_ != 0 &&
                              announce_epoch_ != cached_epoch_;
   const bool do_exchange = steps_completed_ == 0 ||
                            caching_ != xml::CachingLevel::kAll || epoch_changed;
@@ -879,7 +852,7 @@ Status StreamReader::perform_reads_stream() {
     // Step 1.a: gather selections at the coordinator.
     std::vector<std::vector<std::byte>> all;
     FLEXIO_RETURN_IF_ERROR(program_->gather(
-        rank_, ByteView(encode_rank_request(mine)), &all, timeout_));
+        rank_, ByteView(wire::encode(mine)), &all, timeout_));
     std::vector<std::byte> merged_raw;
     if (rank_ == Program::kCoordinator) {
       wire::ReadRequest merged;
@@ -902,9 +875,7 @@ Status StreamReader::perform_reads_stream() {
       // Echo the announce's epoch: the collective agreement point. The
       // writer adopts it as the epoch its fresh handshake state is valid
       // for; every reader rank picks it up from the broadcast below.
-      if (membership_ && have_announce_epoch_) {
-        merged.membership_epoch = announce_epoch_;
-      }
+      merged.membership_epoch = announce_epoch_;
       merged_raw = wire::encode(merged);
       // Step 2: ship the reader-side distribution to the writer side.
       FLEXIO_RETURN_IF_ERROR(
@@ -916,9 +887,7 @@ Status StreamReader::perform_reads_stream() {
     if (!merged.is_ok()) return merged.status();
     cached_request_ = std::move(merged).value();
     have_cached_request_ = true;
-    if (cached_request_.membership_epoch) {
-      cached_epoch_ = *cached_request_.membership_epoch;
-    }
+    cached_epoch_ = cached_request_.membership_epoch;
     handshakes_performed_counter().inc();
 
     for (const wire::PluginInstall& p : cached_request_.plugins) {
@@ -1158,7 +1127,7 @@ Status StreamReader::perform_reads_stream() {
   // The step's total runs from its announce; a cached step has none, so it
   // runs from the earliest send stamp among its data frames.
   std::optional<std::uint64_t> start_ns = wire_acc.first_send_ns;
-  if (have_announce_ctx_ && announce_ctx_.step == step_) {
+  if (announce_ctx_.send_ns != 0 && announce_ctx_.step == step_) {
     start_ns = announce_ctx_.send_ns;
   }
   if (start_ns) {
@@ -1272,8 +1241,7 @@ Status StreamReader::end_step() {
     // Record the step boundary as a (near zero-duration) span carrying the
     // step annotation, so merged timelines show where each reader step
     // closed and parent it under the matching writer step.
-    trace::StepScope step_scope(stream_id_, step_,
-                                have_announce_ctx_ ? announce_ctx_.span_id : 0);
+    trace::StepScope step_scope(stream_id_, step_, announce_ctx_.span_id);
     trace::Span span("reader.end_step");
   }
   in_step_ = false;

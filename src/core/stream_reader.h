@@ -146,6 +146,9 @@ class StreamReader {
 
   Status open(Runtime* rt, const StreamSpec& spec);
   Status open_late_join(Runtime* rt);
+  /// Adopt the writer's stream shape and caching level from an encoded
+  /// OpenReply (the live reply, or the directory's open-info blob).
+  Status apply_open_reply(ByteView raw);
   StatusOr<StepId> begin_step_stream();
   StatusOr<StepId> begin_step_file();
   void start_heartbeats();
@@ -188,9 +191,8 @@ class StreamReader {
   std::shared_ptr<StreamChannel> channel_;
   std::string writer_program_;
   int writer_size_ = 0;
-  std::string writer_coord_;
+  std::string writer_coord_;  // coordinator only
   xml::CachingLevel caching_ = xml::CachingLevel::kNone;
-  bool batching_ = false;
 
   // Step state.
   bool in_step_ = false;
@@ -203,13 +205,13 @@ class StreamReader {
   std::vector<wire::BlockInfo> step_blocks_;  // writer distributions
   // Step telemetry: stream hash, the writer's trace context from this
   // step's announce (parents reader spans under the writer's end_step
-  // span), and per-step data-frame accounting keyed by step id because
-  // data messages can arrive before their step opens: summed transfer
-  // latency, and the earliest send stamp, which starts the clock of a
-  // cached step (it has no announce to time it from).
+  // span; zero for a cached step, whose announce the coordinator
+  // synthesizes), and per-step data-frame accounting keyed by step id
+  // because data messages can arrive before their step opens: summed
+  // transfer latency, and the earliest send stamp, which starts the clock
+  // of a cached step (it has no announce to time it from).
   std::uint64_t stream_id_ = 0;
   wire::TraceContext announce_ctx_{};
-  bool have_announce_ctx_ = false;
   struct StepWire {
     std::uint64_t transfer_ns = 0;
     std::optional<std::uint64_t> first_send_ns;
@@ -247,8 +249,7 @@ class StreamReader {
   std::uint64_t incarnation_ = 0;
   std::uint64_t join_epoch_ = 0;
   std::uint64_t cached_epoch_ = 0;
-  std::uint64_t announce_epoch_ = 0;
-  bool have_announce_epoch_ = false;
+  std::uint64_t announce_epoch_ = 0;  // 0: membership off, or a cached step
   bool left_ = false;
   bool crashed_ = false;
   std::atomic<bool> fenced_{false};
@@ -268,8 +269,8 @@ class StreamReader {
   std::atomic<bool> hb_stop_{false};
   std::atomic<std::uint64_t> hb_pause_until_ns_{0};
   /// Telemetry piggyback (owned by the heartbeat thread): deltas since
-  /// the previous beat, attached as the stats trailer when publishing is
-  /// enabled (telemetry::publish_enabled()).
+  /// the previous beat, sent in the heartbeat's stats field when
+  /// publishing is enabled (telemetry::publish_enabled()).
   telemetry::DeltaEncoder hb_stats_;
   std::uint64_t hb_stats_seq_ = 0;
 

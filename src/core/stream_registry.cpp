@@ -264,8 +264,8 @@ class SharedEndpoint : public std::enable_shared_from_this<SharedEndpoint> {
 
   /// Route one raw frame under mux_mutex_. EOS is a link-level event and
   /// fans out to every attached stream; data frames without a routable
-  /// prefix (legacy format, or a stream nobody here attached) are counted
-  /// and dropped -- a crashed stream's in-flight data must not wedge its
+  /// prefix (no prefix, or a stream nobody here attached) are counted and
+  /// dropped -- a crashed stream's in-flight data must not wedge its
   /// neighbours.
   void route(evpath::Message raw) {
     if (raw.eos) {
@@ -273,7 +273,7 @@ class SharedEndpoint : public std::enable_shared_from_this<SharedEndpoint> {
       return;
     }
     const auto mux = wire::decode_mux(ByteView(raw.payload));
-    if (!mux.is_ok() || mux.value().stream_id == 0) {
+    if (!mux.is_ok()) {
       orphan_counter().inc();
       return;
     }

@@ -13,7 +13,7 @@
 //
 // On the shared path:
 //  * every outbound frame is prefixed with wire::kMuxPrefixTag + varint
-//    stream_id (wire.h; versioned -- unprefixed legacy frames still parse),
+//    stream_id (wire.h); a frame without the prefix is dropped,
 //  * inbound frames are demultiplexed by that prefix into per-stream
 //    inboxes; recv is a cooperative pump (one blocked receiver drains the
 //    endpoint for everyone and routes by stream id),
@@ -72,9 +72,9 @@ class StreamChannel {
   bool shared() const { return shared_ != nullptr; }
 
   /// The peer endpoint name for (stream, program, rank) under this
-  /// channel's mode: `stream|program.rank` dedicated (the
-  /// Runtime::endpoint_name convention), `mux|program.rank` shared. Both
-  /// sides of a stream must run the same mode; the open handshake checks.
+  /// channel's mode: `stream|program.rank` dedicated, `mux|program.rank`
+  /// shared. Both sides of a stream must run the same mode; the open
+  /// handshake checks.
   std::string peer_name(const std::string& stream, const std::string& program,
                         int rank) const;
 
@@ -161,8 +161,7 @@ class StreamRegistry {
   std::size_t shared_endpoint_count() const;
   std::size_t attached_stream_count() const;
 
-  /// Naming conventions. The dedicated form must match
-  /// Runtime::endpoint_name (pinned by tests/multiplex_test.cpp).
+  /// Naming conventions (pinned by tests/multiplex_test.cpp).
   static std::string dedicated_endpoint_name(const std::string& stream,
                                              const std::string& program,
                                              int rank) {

@@ -132,53 +132,38 @@ Status StreamWriter::open(Runtime* rt, const StreamSpec& spec) {
 
   membership_ = rt->directory().membership_enabled();
 
-  std::vector<std::byte> reader_info;
+  std::vector<std::byte> reply_raw;
+  std::vector<std::byte> request_raw;
   if (rank_ == Program::kCoordinator) {
-    // Register with the open-info blob a late joiner bootstraps from: the
-    // same fields the OpenReply would carry, known before any reader calls.
-    wire::OpenReply info;
-    info.writer_program = program_->name();
-    info.writer_size = program_->size();
-    info.caching = static_cast<std::uint8_t>(spec.method.caching);
-    info.batching = spec.method.batching;
-    info.async_writes = spec.method.async_writes;
+    // The OpenReply doubles as the open-info blob a late joiner bootstraps
+    // from: it is known before any reader calls.
+    wire::OpenReply reply;
+    reply.writer_program = program_->name();
+    reply.writer_size = program_->size();
+    reply.caching = static_cast<std::uint8_t>(spec.method.caching);
+    reply_raw = wire::encode(reply);
     FLEXIO_RETURN_IF_ERROR(rt->directory().register_stream(
-        spec.stream, channel_->name(), wire::encode(info)));
+        spec.stream, channel_->name(), reply_raw));
     // Wait for the reader coordinator's OpenRequest.
     evpath::Message msg;
     FLEXIO_RETURN_IF_ERROR(channel_->recv(&msg, timeout_));
-    auto req = wire::decode_open_request(ByteView(msg.payload));
-    if (!req.is_ok()) return req.status();
     if (StreamRegistry::is_shared_name(msg.from) != channel_->shared()) {
       return make_error(ErrorCode::kInvalidArgument,
                         "stream multiplexing mode mismatch: reader contact " +
                             msg.from);
     }
-    reader_program_ = req.value().reader_program;
-    reader_size_ = req.value().reader_size;
     reader_coord_ = msg.from;
-    wire::OpenReply reply;
-    reply.writer_program = program_->name();
-    reply.writer_size = program_->size();
-    reply.caching = static_cast<std::uint8_t>(spec.method.caching);
-    reply.batching = spec.method.batching;
-    reply.async_writes = spec.method.async_writes;
-    FLEXIO_RETURN_IF_ERROR(
-        channel_->send(reader_coord_, ByteView(wire::encode(reply))));
-    serial::BufWriter w;
-    w.put_string(reader_program_);
-    w.put_varint(static_cast<std::uint64_t>(reader_size_));
-    reader_info = w.take();
+    request_raw.assign(msg.payload.begin(), msg.payload.end());
   }
-  FLEXIO_RETURN_IF_ERROR(program_->broadcast(rank_, &reader_info, timeout_));
-  if (rank_ != Program::kCoordinator) {
-    serial::BufReader r{ByteView(reader_info)};
-    FLEXIO_RETURN_IF_ERROR(r.get_string(&reader_program_));
-    std::uint64_t size = 0;
-    FLEXIO_RETURN_IF_ERROR(r.get_varint(&size));
-    reader_size_ = static_cast<int>(size);
-  }
-  return Status::ok();
+  // Every rank decodes the reader coordinator's OpenRequest frame itself;
+  // the coordinator replies only once it decoded.
+  FLEXIO_RETURN_IF_ERROR(program_->broadcast(rank_, &request_raw, timeout_));
+  auto req = wire::decode_open_request(ByteView(request_raw));
+  if (!req.is_ok()) return req.status();
+  reader_program_ = req.value().reader_program;
+  reader_size_ = req.value().reader_size;
+  if (rank_ != Program::kCoordinator) return Status::ok();
+  return channel_->send(reader_coord_, ByteView(reply_raw));
 }
 
 Status StreamWriter::begin_step(StepId step) {
@@ -363,13 +348,15 @@ Status StreamWriter::run_handshake(bool* did_exchange) {
     if (membership_) {
       // The reader echoes the announce's epoch back: the collective
       // agreement point. The new handshake state is valid for that epoch.
-      planned_epoch_ = cached_request_.membership_epoch.value_or(step_epoch);
+      planned_epoch_ = cached_request_.membership_epoch != 0
+                           ? cached_request_.membership_epoch
+                           : step_epoch;
     }
     // Pair our receive clock with the reader's send clock; the merge tool
     // estimates the cross-process offset from these samples. Coordinator
     // only: other ranks see the request after a broadcast delay.
-    if (rank_ == Program::kCoordinator && cached_request_.trace) {
-      trace::clock_sample(cached_request_.trace->send_ns);
+    if (rank_ == Program::kCoordinator) {
+      trace::clock_sample(cached_request_.trace.send_ns);
     }
     // The reader's request may have changed: the cached send plan is stale.
     have_cached_plan_ = false;

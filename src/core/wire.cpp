@@ -1,6 +1,9 @@
 #include "core/wire.h"
 
+#include <climits>
+
 #include "util/metrics.h"
+#include "xml/config.h"
 
 namespace flexio::wire {
 
@@ -49,100 +52,28 @@ Status get_box(BufReader* r, adios::Box* box) {
   return Status::ok();
 }
 
-// Versioned trailer chain appended after a message's regular fields. Each
-// trailer starts with a one-byte version tag; decoders read known trailers
-// in any order and skip the rest of the frame at the first unknown tag
-// (forward compatibility). A decoder that reaches the trailer position with
-// no bytes left is looking at an old-format frame and reports "absent" for
-// every trailer, so seed-format frames keep parsing (pinned by
-// tests/core_test.cpp and tests/serial_test.cpp).
-constexpr std::uint8_t kTraceTrailerV1 = 1;
-constexpr std::uint8_t kMembershipTrailerV2 = 2;
-constexpr std::uint8_t kStatsTrailerV3 = 3;
-
-void put_trace_trailer(BufWriter* w, const std::optional<TraceContext>& t) {
-  if (!t) return;
-  w->put_u8(kTraceTrailerV1);
-  w->put_varint(t->stream_id);
-  w->put_i64(t->step);
-  w->put_varint(t->span_id);
-  w->put_varint(t->send_ns);
+void put_trace(BufWriter* w, const TraceContext& t) {
+  w->put_varint(t.stream_id);
+  w->put_i64(t.step);
+  w->put_varint(t.span_id);
+  w->put_varint(t.send_ns);
 }
 
-void put_trailers(BufWriter* w, const std::optional<TraceContext>& t,
-                  const std::optional<std::uint64_t>& epoch) {
-  put_trace_trailer(w, t);
-  if (epoch) {
-    w->put_u8(kMembershipTrailerV2);
-    w->put_varint(*epoch);
+Status get_trace(BufReader* r, TraceContext* t) {
+  FLEXIO_RETURN_IF_ERROR(r->get_varint(&t->stream_id));
+  FLEXIO_RETURN_IF_ERROR(r->get_i64(&t->step));
+  FLEXIO_RETURN_IF_ERROR(r->get_varint(&t->span_id));
+  return r->get_varint(&t->send_ns);
+}
+
+// A program size read off the wire: 1 to INT_MAX ranks.
+Status get_size(BufReader* r, int* size) {
+  std::uint64_t v = 0;
+  FLEXIO_RETURN_IF_ERROR(r->get_varint(&v));
+  if (v < 1 || v > static_cast<std::uint64_t>(INT_MAX)) {
+    return make_error(ErrorCode::kInvalidArgument, "program size out of range");
   }
-}
-
-Status get_trailers(BufReader* r, std::optional<TraceContext>* trace,
-                    std::optional<std::uint64_t>* epoch) {
-  trace->reset();
-  if (epoch != nullptr) epoch->reset();
-  while (!r->at_end()) {
-    std::uint8_t version = 0;
-    FLEXIO_RETURN_IF_ERROR(r->get_u8(&version));
-    if (version == kTraceTrailerV1) {
-      TraceContext t;
-      FLEXIO_RETURN_IF_ERROR(r->get_varint(&t.stream_id));
-      FLEXIO_RETURN_IF_ERROR(r->get_i64(&t.step));
-      FLEXIO_RETURN_IF_ERROR(r->get_varint(&t.span_id));
-      FLEXIO_RETURN_IF_ERROR(r->get_varint(&t.send_ns));
-      *trace = t;
-    } else if (version == kMembershipTrailerV2 && epoch != nullptr) {
-      std::uint64_t e = 0;
-      FLEXIO_RETURN_IF_ERROR(r->get_varint(&e));
-      *epoch = e;
-    } else {
-      ByteView rest;
-      return r->get_view(r->remaining(), &rest);  // skip unknown trailers
-    }
-  }
-  return Status::ok();
-}
-
-Status get_trace_trailer(BufReader* r, std::optional<TraceContext>* out) {
-  return get_trailers(r, out, nullptr);
-}
-
-/// Telemetry piggyback: sender program name + one flexio-stats-v1 delta
-/// line. Appended AFTER the trace trailer so v1-only decoders (which skip
-/// the rest of the frame at the first unknown tag) still see the trace.
-void put_stats_trailer(BufWriter* w, const std::string& program,
-                       const std::string& stats) {
-  if (program.empty() && stats.empty()) return;
-  w->put_u8(kStatsTrailerV3);
-  w->put_string(program);
-  w->put_string(stats);
-}
-
-/// Heartbeat trailer chain: trace (v1) and stats (v3), either absent.
-Status get_heartbeat_trailers(BufReader* r, std::optional<TraceContext>* trace,
-                              std::string* program, std::string* stats) {
-  trace->reset();
-  program->clear();
-  stats->clear();
-  while (!r->at_end()) {
-    std::uint8_t version = 0;
-    FLEXIO_RETURN_IF_ERROR(r->get_u8(&version));
-    if (version == kTraceTrailerV1) {
-      TraceContext t;
-      FLEXIO_RETURN_IF_ERROR(r->get_varint(&t.stream_id));
-      FLEXIO_RETURN_IF_ERROR(r->get_i64(&t.step));
-      FLEXIO_RETURN_IF_ERROR(r->get_varint(&t.span_id));
-      FLEXIO_RETURN_IF_ERROR(r->get_varint(&t.send_ns));
-      *trace = t;
-    } else if (version == kStatsTrailerV3) {
-      FLEXIO_RETURN_IF_ERROR(r->get_string(program));
-      FLEXIO_RETURN_IF_ERROR(r->get_string(stats));
-    } else {
-      ByteView rest;
-      return r->get_view(r->remaining(), &rest);  // skip unknown trailers
-    }
-  }
+  *size = static_cast<int>(v);
   return Status::ok();
 }
 
@@ -152,6 +83,15 @@ Status expect_type(BufReader* r, MsgType want) {
   if (tag != static_cast<std::uint8_t>(want)) {
     return make_error(ErrorCode::kInvalidArgument,
                       "unexpected message type tag");
+  }
+  return Status::ok();
+}
+
+// Every decoder ends here: a frame is consumed exactly, so bytes past its
+// last field make it corrupt.
+Status expect_end(const BufReader& r) {
+  if (!r.at_end()) {
+    return make_error(ErrorCode::kInvalidArgument, "trailing bytes in frame");
   }
   return Status::ok();
 }
@@ -189,17 +129,13 @@ std::vector<std::byte> encode_mux_prefix(std::uint64_t stream_id) {
 }
 
 StatusOr<MuxFrame> decode_mux(ByteView raw) {
-  if (raw.empty()) {
-    return make_error(ErrorCode::kInvalidArgument, "empty message");
-  }
-  MuxFrame f;
-  if (static_cast<std::uint8_t>(raw[0]) != kMuxPrefixTag) {
-    f.inner = raw;  // legacy unprefixed frame
-    return f;
-  }
   BufReader r{raw};
   std::uint8_t tag = 0;
   FLEXIO_RETURN_IF_ERROR(r.get_u8(&tag));
+  if (tag != kMuxPrefixTag) {
+    return make_error(ErrorCode::kInvalidArgument, "frame has no mux prefix");
+  }
+  MuxFrame f;
   FLEXIO_RETURN_IF_ERROR(r.get_varint(&f.stream_id));
   if (f.stream_id == 0) {
     return make_error(ErrorCode::kInvalidArgument, "mux prefix stream_id 0");
@@ -222,9 +158,8 @@ StatusOr<OpenRequest> decode_open_request(ByteView raw) {
   FLEXIO_RETURN_IF_ERROR(expect_type(&r, MsgType::kOpenRequest));
   OpenRequest m;
   FLEXIO_RETURN_IF_ERROR(r.get_string(&m.reader_program));
-  std::uint64_t size = 0;
-  FLEXIO_RETURN_IF_ERROR(r.get_varint(&size));
-  m.reader_size = static_cast<int>(size);
+  FLEXIO_RETURN_IF_ERROR(get_size(&r, &m.reader_size));
+  FLEXIO_RETURN_IF_ERROR(expect_end(r));
   return m;
 }
 
@@ -234,8 +169,6 @@ std::vector<std::byte> encode(const OpenReply& m) {
   w.put_string(m.writer_program);
   w.put_varint(static_cast<std::uint64_t>(m.writer_size));
   w.put_u8(m.caching);
-  w.put_u8(m.batching ? 1 : 0);
-  w.put_u8(m.async_writes ? 1 : 0);
   return w.take();
 }
 
@@ -244,15 +177,12 @@ StatusOr<OpenReply> decode_open_reply(ByteView raw) {
   FLEXIO_RETURN_IF_ERROR(expect_type(&r, MsgType::kOpenReply));
   OpenReply m;
   FLEXIO_RETURN_IF_ERROR(r.get_string(&m.writer_program));
-  std::uint64_t size = 0;
-  FLEXIO_RETURN_IF_ERROR(r.get_varint(&size));
-  m.writer_size = static_cast<int>(size);
+  FLEXIO_RETURN_IF_ERROR(get_size(&r, &m.writer_size));
   FLEXIO_RETURN_IF_ERROR(r.get_u8(&m.caching));
-  std::uint8_t b = 0, a = 0;
-  FLEXIO_RETURN_IF_ERROR(r.get_u8(&b));
-  FLEXIO_RETURN_IF_ERROR(r.get_u8(&a));
-  m.batching = b != 0;
-  m.async_writes = a != 0;
+  if (m.caching > static_cast<std::uint8_t>(xml::CachingLevel::kAll)) {
+    return make_error(ErrorCode::kInvalidArgument, "unknown caching level");
+  }
+  FLEXIO_RETURN_IF_ERROR(expect_end(r));
   return m;
 }
 
@@ -260,13 +190,14 @@ std::vector<std::byte> encode(const StepAnnounce& m) {
   BufWriter w;
   w.put_u8(static_cast<std::uint8_t>(MsgType::kStepAnnounce));
   w.put_i64(m.step);
+  put_trace(&w, m.trace);
+  w.put_varint(m.membership_epoch);
   w.put_varint(m.blocks.size());
   for (const BlockInfo& b : m.blocks) {
     w.put_varint(static_cast<std::uint64_t>(b.writer_rank));
     b.meta.encode(&w);
     w.put_bytes(ByteView(b.scalar_payload));
   }
-  put_trailers(&w, m.trace, m.membership_epoch);
   return w.take();
 }
 
@@ -275,6 +206,8 @@ StatusOr<StepAnnounce> decode_step_announce(ByteView raw) {
   FLEXIO_RETURN_IF_ERROR(expect_type(&r, MsgType::kStepAnnounce));
   StepAnnounce m;
   FLEXIO_RETURN_IF_ERROR(r.get_i64(&m.step));
+  FLEXIO_RETURN_IF_ERROR(get_trace(&r, &m.trace));
+  FLEXIO_RETURN_IF_ERROR(r.get_varint(&m.membership_epoch));
   std::uint64_t n = 0;
   FLEXIO_RETURN_IF_ERROR(r.get_count(&n));
   m.blocks.reserve(n);
@@ -291,7 +224,7 @@ StatusOr<StepAnnounce> decode_step_announce(ByteView raw) {
     b.scalar_payload.assign(payload.begin(), payload.end());
     m.blocks.push_back(std::move(b));
   }
-  FLEXIO_RETURN_IF_ERROR(get_trailers(&r, &m.trace, &m.membership_epoch));
+  FLEXIO_RETURN_IF_ERROR(expect_end(r));
   return m;
 }
 
@@ -299,6 +232,8 @@ std::vector<std::byte> encode(const ReadRequest& m) {
   BufWriter w;
   w.put_u8(static_cast<std::uint8_t>(MsgType::kReadRequest));
   w.put_i64(m.step);
+  put_trace(&w, m.trace);
+  w.put_varint(m.membership_epoch);
   w.put_varint(m.selections.size());
   for (const SelectionInfo& s : m.selections) {
     w.put_varint(static_cast<std::uint64_t>(s.reader_rank));
@@ -316,7 +251,6 @@ std::vector<std::byte> encode(const ReadRequest& m) {
     w.put_string(p.source);
     w.put_u8(p.run_at_writer ? 1 : 0);
   }
-  put_trailers(&w, m.trace, m.membership_epoch);
   return w.take();
 }
 
@@ -325,6 +259,8 @@ StatusOr<ReadRequest> decode_read_request(ByteView raw) {
   FLEXIO_RETURN_IF_ERROR(expect_type(&r, MsgType::kReadRequest));
   ReadRequest m;
   FLEXIO_RETURN_IF_ERROR(r.get_i64(&m.step));
+  FLEXIO_RETURN_IF_ERROR(get_trace(&r, &m.trace));
+  FLEXIO_RETURN_IF_ERROR(r.get_varint(&m.membership_epoch));
   std::uint64_t n = 0;
   FLEXIO_RETURN_IF_ERROR(r.get_count(&n));
   m.selections.reserve(n);
@@ -359,26 +295,18 @@ StatusOr<ReadRequest> decode_read_request(ByteView raw) {
     p.run_at_writer = at_writer != 0;
     m.plugins.push_back(std::move(p));
   }
-  FLEXIO_RETURN_IF_ERROR(get_trailers(&r, &m.trace, &m.membership_epoch));
+  FLEXIO_RETURN_IF_ERROR(expect_end(r));
   return m;
 }
 
 std::vector<std::byte> encode(const DataMsg& m) {
-  BufWriter w;
-  w.put_u8(static_cast<std::uint8_t>(MsgType::kData));
-  w.put_i64(m.step);
-  w.put_varint(static_cast<std::uint64_t>(m.writer_rank));
-  w.put_varint(m.pieces.size());
-  for (const DataPiece& p : m.pieces) {
-    p.meta.encode(&w);
-    put_box(&w, p.region);
-    const ByteView payload = p.bytes();
-    w.put_varint(payload.size());
-    put_pad(&w, w.size());
-    w.put_raw(payload.data(), payload.size());
+  const serial::IovMessage iov = encode_data_iov(m);
+  std::vector<std::byte> out;
+  out.reserve(iov.total_bytes);
+  for (const ByteView frag : iov.frags) {
+    out.insert(out.end(), frag.begin(), frag.end());
   }
-  put_trace_trailer(&w, m.trace);
-  return w.take();
+  return out;
 }
 
 serial::IovMessage encode_data_iov(const DataMsg& m) {
@@ -387,6 +315,7 @@ serial::IovMessage encode_data_iov(const DataMsg& m) {
   w.put_u8(static_cast<std::uint8_t>(MsgType::kData));
   w.put_i64(m.step);
   w.put_varint(static_cast<std::uint64_t>(m.writer_rank));
+  put_trace(&w, m.trace);
   w.put_varint(m.pieces.size());
   // Borrowed payload bytes spliced so far: a payload's wire offset is the
   // header written before it plus these.
@@ -400,9 +329,6 @@ serial::IovMessage encode_data_iov(const DataMsg& m) {
     b.add_borrowed(payload);
     spliced += payload.size();
   }
-  // Header bytes written after the last borrowed payload become the final
-  // wire fragment, so the trailer lands where decode_data expects it.
-  put_trace_trailer(&w, m.trace);
   return std::move(b).finish();
 }
 
@@ -414,6 +340,7 @@ StatusOr<DataMsg> decode_data(const ByteLease& frame) {
   std::uint64_t rank = 0;
   FLEXIO_RETURN_IF_ERROR(r.get_varint(&rank));
   m.writer_rank = static_cast<int>(rank);
+  FLEXIO_RETURN_IF_ERROR(get_trace(&r, &m.trace));
   std::uint64_t n = 0;
   FLEXIO_RETURN_IF_ERROR(r.get_count(&n));
   m.pieces.reserve(n);
@@ -430,29 +357,8 @@ StatusOr<DataMsg> decode_data(const ByteLease& frame) {
     p.owner = frame.owner();
     m.pieces.push_back(std::move(p));
   }
-  FLEXIO_RETURN_IF_ERROR(get_trace_trailer(&r, &m.trace));
+  FLEXIO_RETURN_IF_ERROR(expect_end(r));
   if (metrics::enabled()) recv_copies_avoided_counter().add(m.pieces.size());
-  return m;
-}
-
-std::vector<std::byte> encode(const PluginInstall& m) {
-  BufWriter w;
-  w.put_u8(static_cast<std::uint8_t>(MsgType::kPluginInstall));
-  w.put_string(m.var);
-  w.put_string(m.source);
-  w.put_u8(m.run_at_writer ? 1 : 0);
-  return w.take();
-}
-
-StatusOr<PluginInstall> decode_plugin_install(ByteView raw) {
-  BufReader r{raw};
-  FLEXIO_RETURN_IF_ERROR(expect_type(&r, MsgType::kPluginInstall));
-  PluginInstall m;
-  FLEXIO_RETURN_IF_ERROR(r.get_string(&m.var));
-  FLEXIO_RETURN_IF_ERROR(r.get_string(&m.source));
-  std::uint8_t at_writer = 0;
-  FLEXIO_RETURN_IF_ERROR(r.get_u8(&at_writer));
-  m.run_at_writer = at_writer != 0;
   return m;
 }
 
@@ -470,6 +376,7 @@ StatusOr<MonitorReport> decode_monitor_report(ByteView raw) {
   for (const auto& f : kMonitorReportFields) {
     FLEXIO_RETURN_IF_ERROR(r.get_u64(&(m.*f.second)));
   }
+  FLEXIO_RETURN_IF_ERROR(expect_end(r));
   return m;
 }
 
@@ -486,7 +393,6 @@ std::vector<std::byte> encode(const MembershipUpdate& m) {
     w.put_u8(mi.state);
     w.put_varint(mi.join_epoch);
   }
-  put_trace_trailer(&w, m.trace);
   return w.take();
 }
 
@@ -510,7 +416,7 @@ StatusOr<MembershipUpdate> decode_membership_update(ByteView raw) {
     FLEXIO_RETURN_IF_ERROR(r.get_varint(&mi.join_epoch));
     m.members.push_back(std::move(mi));
   }
-  FLEXIO_RETURN_IF_ERROR(get_trace_trailer(&r, &m.trace));
+  FLEXIO_RETURN_IF_ERROR(expect_end(r));
   return m;
 }
 
@@ -521,8 +427,8 @@ std::vector<std::byte> encode(const Heartbeat& m) {
   w.put_varint(static_cast<std::uint64_t>(m.rank));
   w.put_varint(m.incarnation);
   w.put_varint(m.send_ns);
-  put_trace_trailer(&w, m.trace);
-  put_stats_trailer(&w, m.program, m.stats);
+  w.put_string(m.program);
+  w.put_string(m.stats);
   return w.take();
 }
 
@@ -536,8 +442,9 @@ StatusOr<Heartbeat> decode_heartbeat(ByteView raw) {
   m.rank = static_cast<int>(rank);
   FLEXIO_RETURN_IF_ERROR(r.get_varint(&m.incarnation));
   FLEXIO_RETURN_IF_ERROR(r.get_varint(&m.send_ns));
-  FLEXIO_RETURN_IF_ERROR(
-      get_heartbeat_trailers(&r, &m.trace, &m.program, &m.stats));
+  FLEXIO_RETURN_IF_ERROR(r.get_string(&m.program));
+  FLEXIO_RETURN_IF_ERROR(r.get_string(&m.stats));
+  FLEXIO_RETURN_IF_ERROR(expect_end(r));
   return m;
 }
 
@@ -553,6 +460,7 @@ StatusOr<StepId> decode_close(ByteView raw) {
   FLEXIO_RETURN_IF_ERROR(expect_type(&r, MsgType::kClose));
   StepId last = 0;
   FLEXIO_RETURN_IF_ERROR(r.get_i64(&last));
+  FLEXIO_RETURN_IF_ERROR(expect_end(r));
   return last;
 }
 

@@ -6,12 +6,14 @@
 //  * StepAnnounce (writer-side distributions, Steps 1.s + 2),
 //  * ReadRequest (reader-side selections, Steps 1.a + 2),
 //  * Data messages carrying packed strides (Step 4), optionally batched,
-//  * plug-in installation, shipped monitoring records, and stream close.
-// All messages are length-checked on decode; a corrupt frame yields an
-// error instead of undefined behaviour.
+//  * shipped monitoring records, membership views and heartbeats, and
+//    stream close.
+// Every frame is one fixed sequence of fields after its type tag, written
+// by one encoder and read by one decoder. Decoding is length-checked and
+// consumes the frame exactly: a short frame, a field out of range or bytes
+// past the last field yield an error instead of undefined behaviour.
 #pragma once
 
-#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -31,18 +33,17 @@ enum class MsgType : std::uint8_t {
   kReadRequest = 4,
   kData = 5,
   kClose = 6,
-  kPluginInstall = 7,
-  kMonitorReport = 8,
-  kHeartbeat = 9,
-  kMembershipUpdate = 10,
+  kMonitorReport = 7,
+  kHeartbeat = 8,
+  kMembershipUpdate = 9,
 };
 
 /// Compact trace context stamped into data-plane and handshake frames so
 /// reader-side spans can be stitched under the writer step that produced
-/// them (and vice versa). Encoded as a *versioned trailer* after the
-/// message's regular fields: old frames simply end where the trailer would
-/// begin, so decoders treat "no bytes left" as "no context" and old-format
-/// frames keep parsing (pinned by tests/core_test.cpp).
+/// them (and vice versa). A fixed field of StepAnnounce, ReadRequest and
+/// DataMsg, written ahead of their block and piece lists. A zero send_ns
+/// means "no context": the announce a reader synthesizes for a cached step
+/// and the per-rank requests gathered at the reader coordinator carry none.
 struct TraceContext {
   std::uint64_t stream_id = 0;  // stream_id_hash of the stream name
   StepId step = 0;              // step the frame belongs to
@@ -61,14 +62,12 @@ struct OpenRequest {
 };
 
 /// Writer coordinator -> reader coordinator reply: stream shape and the
-/// transport tuning the writer side was configured with (both sides must
-/// agree on caching/batching, so the writer's config wins).
+/// caching level the writer side was configured with (both sides must
+/// agree on it, so the writer's config wins).
 struct OpenReply {
   std::string writer_program;
   int writer_size = 0;
   std::uint8_t caching = 0;   // xml::CachingLevel
-  bool batching = false;
-  bool async_writes = false;
 };
 
 /// One writer rank's declared variable (with inline payload for scalars,
@@ -82,13 +81,13 @@ struct BlockInfo {
 /// Writer coordinator -> reader coordinator: everything written this step.
 struct StepAnnounce {
   StepId step = 0;
+  TraceContext trace;
+  /// Membership epoch the writer planned this step against, 0 when
+  /// liveness is disabled (a live epoch is at least 1). A reader whose
+  /// cached handshake was exchanged under a different epoch must
+  /// re-exchange.
+  std::uint64_t membership_epoch = 0;
   std::vector<BlockInfo> blocks;
-  std::optional<TraceContext> trace;  // versioned trailer, absent on old frames
-  /// Membership epoch the writer planned this step against (trailer v2,
-  /// absent on pre-membership frames and when liveness is disabled). A
-  /// reader whose cached handshake was exchanged under a different epoch
-  /// must re-exchange.
-  std::optional<std::uint64_t> membership_epoch;
 };
 
 /// One reader rank's selection of a global array.
@@ -117,14 +116,14 @@ struct PluginInstall {
 /// Reader coordinator -> writer coordinator: all reader selections.
 struct ReadRequest {
   StepId step = 0;
+  TraceContext trace;
+  /// Echo of the announce's membership epoch (0 when liveness is
+  /// disabled): the collective agreement point -- the writer adopts it as
+  /// the epoch its cached plan is valid for.
+  std::uint64_t membership_epoch = 0;
   std::vector<SelectionInfo> selections;
   std::vector<PgRequestInfo> pg_requests;
   std::vector<PluginInstall> plugins;
-  std::optional<TraceContext> trace;  // versioned trailer, absent on old frames
-  /// Echo of the announce's membership epoch (trailer v2): the collective
-  /// agreement point -- the writer adopts it as the epoch its cached plan
-  /// is valid for.
-  std::optional<std::uint64_t> membership_epoch;
 };
 
 /// One transferred piece: a region of a global array (region == the
@@ -184,8 +183,8 @@ inline constexpr std::size_t kPayloadAlign = 8;
 struct DataMsg {
   StepId step = 0;
   int writer_rank = 0;
+  TraceContext trace;
   std::vector<DataPiece> pieces;
-  std::optional<TraceContext> trace;  // versioned trailer, absent on old frames
 };
 
 /// Writer coordinator -> reader coordinator at close: aggregated writer-
@@ -244,7 +243,6 @@ struct MembershipUpdate {
   std::string stream;
   std::uint64_t epoch = 0;
   std::vector<MemberInfo> members;
-  std::optional<TraceContext> trace;
 };
 
 /// Reader rank -> directory: liveness beat for one member incarnation.
@@ -255,12 +253,10 @@ struct Heartbeat {
   int rank = 0;
   std::uint64_t incarnation = 0;
   std::uint64_t send_ns = 0;
-  std::optional<TraceContext> trace;
-  /// Telemetry piggyback (stats trailer, v3): the sender's program name
-  /// and one "flexio-stats-v1" delta line since its previous beat. Both
-  /// empty when telemetry publishing is off; pre-v3 frames decode with
-  /// both empty (the trailer is skipped by old readers and absent in old
-  /// frames). The directory folds these into its cluster view.
+  /// Telemetry piggyback: the sender's program name and one
+  /// "flexio-stats-v1" delta line since its previous beat, both empty when
+  /// telemetry publishing is off. The directory folds these into its
+  /// cluster view.
   std::string program;
   std::string stats;
 };
@@ -270,19 +266,16 @@ StatusOr<MsgType> peek_type(ByteView raw);
 
 /// Multiplexing frame prefix (shared-link mode): `tag + varint stream_id`,
 /// zero-padded to a multiple of kPayloadAlign, prepended to an ordinary
-/// protocol frame so many streams can share one
-/// link and the receiving registry can route each frame to its stream's
-/// inbox. The tag sits outside the MsgType range [1, 10], so a legacy
-/// decoder fed a prefixed frame fails loudly in peek_type instead of
-/// misparsing it -- and decode_mux treats a frame that starts with a valid
-/// MsgType tag as an unprefixed legacy frame (stream_id 0), so
-/// pre-multiplexing frames keep parsing (pinned by tests/multiplex_test.cpp).
+/// protocol frame so many streams can share one link and the receiving
+/// registry can route each frame to its stream's inbox. The tag sits
+/// outside the MsgType range [1, 9], so a dedicated-mode decoder fed a
+/// prefixed frame fails loudly in peek_type instead of misparsing it.
 inline constexpr std::uint8_t kMuxPrefixTag = 0xF5;
 
 /// A demultiplexed frame: the routing key and a view of the inner protocol
 /// frame (aliasing the input buffer; zero copies).
 struct MuxFrame {
-  std::uint64_t stream_id = 0;  // 0 = legacy frame without a prefix
+  std::uint64_t stream_id = 0;  // never 0
   ByteView inner;
 };
 
@@ -291,8 +284,8 @@ struct MuxFrame {
 /// non-zero (stream_id_hash never returns 0).
 std::vector<std::byte> encode_mux_prefix(std::uint64_t stream_id);
 
-/// Split a possibly-prefixed frame into {stream_id, inner}. Legacy frames
-/// (no prefix) pass through with stream_id 0 and inner == raw.
+/// Split a prefixed frame into {stream_id, inner}. A frame that does not
+/// start with kMuxPrefixTag, or whose stream_id is 0, is rejected.
 StatusOr<MuxFrame> decode_mux(ByteView raw);
 
 std::vector<std::byte> encode(const OpenRequest& m);
@@ -306,7 +299,6 @@ std::vector<std::byte> encode(const DataMsg& m);
 /// from the writer's buffers without an intermediate flat copy. The pieces'
 /// payload buffers must outlive the message.
 serial::IovMessage encode_data_iov(const DataMsg& m);
-std::vector<std::byte> encode(const PluginInstall& m);
 std::vector<std::byte> encode(const MonitorReport& m);
 std::vector<std::byte> encode(const MembershipUpdate& m);
 std::vector<std::byte> encode(const Heartbeat& m);
@@ -325,7 +317,6 @@ StatusOr<ReadRequest> decode_read_request(ByteView raw);
 /// with a Status and no piece view reaches past the frame. Counts each
 /// piece in flexio.wire.recv_copies_avoided.
 StatusOr<DataMsg> decode_data(const ByteLease& frame);
-StatusOr<PluginInstall> decode_plugin_install(ByteView raw);
 StatusOr<MonitorReport> decode_monitor_report(ByteView raw);
 StatusOr<MembershipUpdate> decode_membership_update(ByteView raw);
 StatusOr<Heartbeat> decode_heartbeat(ByteView raw);

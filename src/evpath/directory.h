@@ -179,7 +179,7 @@ class DirectoryServer {
   /// Fold one "flexio-stats-v1" delta line from (program, rank) into the
   /// cluster view. Malformed lines are rejected (the cluster view never
   /// holds partial folds). Called by the runtime's heartbeat delivery
-  /// adapter for frames carrying the stats trailer.
+  /// adapter for heartbeats with a non-empty stats line.
   Status fold_stats(const std::string& program, int rank,
                     const std::string& stats_line);
 

@@ -13,14 +13,17 @@
 //    buffer after close (the pool and cache bytes_in_use gauges);
 //  * an rdma link whose frames stay in one size class Gets into the same
 //    registered buffer every time;
-//  * a truncated or mutated data frame fails decode_data with a Status,
-//    and no piece view of an accepted frame reaches past the frame.
+//  * a truncated data frame fails decode_data with a Status, and every
+//    decoder given a mutated frame returns a Status or a value whose views
+//    stay inside the frame (FLEXIO_TEST_SEED replays a mutation run).
 // tier1, and a TSan target: leases drop on read-pool worker threads.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -30,6 +33,7 @@
 #include "core/stream_writer.h"
 #include "core/wire.h"
 #include "evpath/bus.h"
+#include "serial/schema.h"
 #include "util/metrics.h"
 #include "util/rng.h"
 
@@ -360,7 +364,7 @@ void expect_views_inside(const wire::DataMsg& m, const ByteLease& frame) {
 TEST(LeaseDecodeTest, TruncatedFrameFailsWithStatus) {
   wire::DataMsg m = golden_msg(3);
   m.pieces.push_back(golden_msg(4).pieces[0]);
-  const std::vector<std::byte> frame = wire::encode(m);  // no trailer
+  const std::vector<std::byte> frame = wire::encode(m);
   {
     const ByteLease whole{std::vector<std::byte>(frame)};
     auto ok = wire::decode_data(whole);
@@ -376,25 +380,210 @@ TEST(LeaseDecodeTest, TruncatedFrameFailsWithStatus) {
   }
 }
 
-TEST(LeaseDecodeTest, MutatedFrameFailsOrStaysInsideTheFrame) {
-  wire::DataMsg m = golden_msg(5);
-  m.pieces.push_back(golden_msg(6).pieces[0]);
-  m.trace = wire::TraceContext{wire::stream_id_hash("s"), 5, 9, 1234};
+/// Seed for the mutation test; set FLEXIO_TEST_SEED to replay a failure.
+std::uint64_t test_seed() {
+  if (const char* env = std::getenv("FLEXIO_TEST_SEED")) {
+    return std::strtoull(env, nullptr, 10);
+  }
+  return 0x1ea5e;
+}
+
+/// One decoder under mutation: a valid frame, and a decode that returns
+/// whether it accepted the (possibly mutated) frame, checking the views of
+/// an accepted value.
+struct DecoderCase {
+  const char* name;
+  std::vector<std::byte> frame;
+  std::function<bool(const ByteLease&)> decode;
+};
+
+/// A decoder whose value owns all its bytes: acceptance is all to check.
+template <typename T>
+std::function<bool(const ByteLease&)> owning(StatusOr<T> (*decode)(ByteView)) {
+  return [decode](const ByteLease& f) { return decode(f.view()).is_ok(); };
+}
+
+std::vector<std::byte> flatten(const serial::IovMessage& iov) {
+  std::vector<std::byte> out;
+  for (const ByteView frag : iov.frags) {
+    out.insert(out.end(), frag.begin(), frag.end());
+  }
+  return out;
+}
+
+std::vector<DecoderCase> decoder_cases() {
+  std::vector<DecoderCase> cases;
+  const auto data_case = [](const ByteLease& f) {
+    auto d = wire::decode_data(f);
+    if (d.is_ok()) expect_views_inside(d.value(), f);
+    return d.is_ok();
+  };
+  const wire::TraceContext ctx{wire::stream_id_hash("s"), 5, 9, 1234};
+
+  cases.push_back({"OpenRequest", wire::encode(wire::OpenRequest{"viz", 4}),
+                   owning(wire::decode_open_request)});
+  wire::OpenReply reply;
+  reply.writer_program = "sim";
+  reply.writer_size = 16;
+  reply.caching = 2;
+  cases.push_back({"OpenReply", wire::encode(reply),
+                   owning(wire::decode_open_reply)});
+
+  wire::StepAnnounce ann;
+  ann.step = 5;
+  ann.trace = ctx;
+  ann.membership_epoch = 3;
+  wire::BlockInfo block;
+  block.writer_rank = 1;
+  block.meta = adios::global_array_var("T", DataType::kDouble, {16},
+                                       Box{{8}, {8}});
+  ann.blocks.push_back(block);
+  wire::BlockInfo scalar;
+  scalar.meta = adios::scalar_var("dt", DataType::kDouble);
+  scalar.scalar_payload.resize(sizeof(double), std::byte{0x3f});
+  ann.blocks.push_back(scalar);
+  cases.push_back({"StepAnnounce", wire::encode(ann),
+                   owning(wire::decode_step_announce)});
+
+  wire::ReadRequest req;
+  req.step = 5;
+  req.trace = ctx;
+  req.membership_epoch = 3;
+  req.selections.push_back(wire::SelectionInfo{1, "T", Box{{2}, {4}}});
+  req.pg_requests.push_back(wire::PgRequestInfo{0, 1});
+  req.plugins.push_back(wire::PluginInstall{"T", "x * 2", true});
+  cases.push_back({"ReadRequest", wire::encode(req),
+                   owning(wire::decode_read_request)});
+
+  wire::DataMsg data = golden_msg(5);
+  data.pieces.push_back(golden_msg(6).pieces[0]);
+  data.trace = ctx;
   // Small payloads keep the header bytes a large share of the frame.
-  for (wire::DataPiece& p : m.pieces) p.payload.resize(24);
-  const std::vector<std::byte> frame = wire::encode(m);
-  Rng rng(0x1ea5e);
-  for (int iter = 0; iter < 4000; ++iter) {
-    std::vector<std::byte> bad = frame;
-    const int flips = 1 + static_cast<int>(rng.next_below(4));
-    for (int f = 0; f < flips; ++f) {
-      bad[rng.next_below(bad.size())] =
-          static_cast<std::byte>(rng.next_below(256));
+  for (wire::DataPiece& p : data.pieces) p.payload.resize(24);
+  cases.push_back({"Data", wire::encode(data), data_case});
+  // The iov path with a borrowed payload of odd length, so the second
+  // piece's padding is non-empty.
+  const std::vector<std::byte> odd(13, std::byte{0x5a});
+  data.pieces[0].payload.clear();
+  data.pieces[0].borrowed = ByteView(odd);
+  cases.push_back({"DataIov", flatten(wire::encode_data_iov(data)),
+                   data_case});
+
+  cases.push_back({"Close", wire::encode_close(7),
+                   owning(wire::decode_close)});
+  wire::MonitorReport report;
+  report.steps = 5;
+  report.bytes_sent = 1000;
+  report.pack_ns = 111;
+  cases.push_back({"MonitorReport", wire::encode(report),
+                   owning(wire::decode_monitor_report)});
+
+  wire::MembershipUpdate upd;
+  upd.stream = "s";
+  upd.epoch = 7;
+  upd.members.push_back(wire::MemberInfo{0, "viz.0", 1, 0, 0});
+  upd.members.push_back(wire::MemberInfo{2, "viz.2", 2, 2, 6});
+  cases.push_back({"MembershipUpdate", wire::encode(upd),
+                   owning(wire::decode_membership_update)});
+
+  wire::Heartbeat hb;
+  hb.stream = "s";
+  hb.rank = 3;
+  hb.incarnation = 2;
+  hb.send_ns = 42;
+  hb.program = "viz";
+  hb.stats = "{\"schema\":\"flexio-stats-v1\",\"seq\":1,\"t_ns\":42}";
+  cases.push_back({"Heartbeat", wire::encode(hb),
+                   owning(wire::decode_heartbeat)});
+
+  std::vector<std::byte> muxed = wire::encode_mux_prefix(ctx.stream_id);
+  const std::vector<std::byte> inner = wire::encode_close(7);
+  muxed.insert(muxed.end(), inner.begin(), inner.end());
+  cases.push_back({"MuxPrefix", muxed, [](const ByteLease& f) {
+                     auto m = wire::decode_mux(f.view());
+                     if (m.is_ok()) {
+                       const ByteView in = m.value().inner;
+                       EXPECT_GE(in.data(), f.data());
+                       EXPECT_EQ(in.data() + in.size(), f.data() + f.size());
+                       EXPECT_NE(m.value().stream_id, 0u);
+                     }
+                     return m.is_ok();
+                   }});
+
+  // A shared_ptr keeps the schema alive for the Record decoder's closure.
+  const auto schema = std::make_shared<serial::Schema>(
+      "sample", std::vector<serial::FieldDesc>{
+                    {"t", DataType::kDouble, false},
+                    {"id", DataType::kInt64, false},
+                    {"tag", DataType::kString, false},
+                    {"xs", DataType::kDouble, true},
+                    {"ns", DataType::kInt32, true},
+                    {"raw", DataType::kBytes, true}});
+  serial::BufWriter schema_raw;
+  schema->encode(&schema_raw);
+  cases.push_back({"Schema", schema_raw.take(), [](const ByteLease& f) {
+                     serial::BufReader r{f.view()};
+                     return serial::Schema::decode(&r).is_ok();
+                   }});
+  serial::Record rec(schema.get());
+  EXPECT_TRUE(rec.set("t", 1.5).is_ok());
+  EXPECT_TRUE(rec.set("id", std::int64_t{-7}).is_ok());
+  EXPECT_TRUE(rec.set("tag", std::string("abc")).is_ok());
+  EXPECT_TRUE(rec.set("xs", std::vector<double>{1, 2, 3}).is_ok());
+  EXPECT_TRUE(rec.set("ns", std::vector<std::int64_t>{4, -5}).is_ok());
+  EXPECT_TRUE(
+      rec.set("raw", std::vector<std::byte>(5, std::byte{1})).is_ok());
+  serial::BufWriter rec_raw;
+  rec.encode(&rec_raw);
+  cases.push_back({"Record", rec_raw.take(), [schema](const ByteLease& f) {
+                     serial::BufReader r{f.view()};
+                     return serial::Record::decode(*schema, &r).is_ok();
+                   }});
+  return cases;
+}
+
+TEST(LeaseDecodeTest, MutatedFrameFailsOrStaysInsideTheFrame) {
+  // Every decoder, fed its valid frame with 1-4 bytes overwritten (and a
+  // quarter of the time also cut short or extended), must return a Status
+  // or a value whose views stay inside the frame: never throw, and never
+  // read outside the exactly sized heap copy (ASan).
+  const std::uint64_t seed = test_seed();
+  SCOPED_TRACE("FLEXIO_TEST_SEED=" + std::to_string(seed));
+  for (const DecoderCase& c : decoder_cases()) {
+    SCOPED_TRACE(c.name);
+    {
+      const ByteLease valid{std::vector<std::byte>(c.frame)};
+      bool ok = false;
+      EXPECT_NO_THROW(ok = c.decode(valid));
+      ASSERT_TRUE(ok) << "the unmutated frame must decode";
     }
-    if (rng.next_below(4) == 0) bad.resize(rng.next_below(bad.size()));
-    const ByteLease lease{std::move(bad)};
-    auto d = wire::decode_data(lease);
-    if (d.is_ok()) expect_views_inside(d.value(), lease);
+    Rng rng(seed);
+    int accepted = 0;
+    for (int iter = 0; iter < 10000; ++iter) {
+      std::vector<std::byte> bad = c.frame;
+      const int flips = 1 + static_cast<int>(rng.next_below(4));
+      for (int f = 0; f < flips; ++f) {
+        bad[rng.next_below(bad.size())] =
+            static_cast<std::byte>(rng.next_below(256));
+      }
+      if (rng.next_below(4) == 0) {
+        if (rng.next_below(2) == 0) {
+          bad.resize(rng.next_below(bad.size()));
+        } else {
+          for (std::uint64_t extra = 1 + rng.next_below(8); extra > 0;
+               --extra) {
+            bad.push_back(static_cast<std::byte>(rng.next_below(256)));
+          }
+        }
+      }
+      const ByteLease lease{std::vector<std::byte>(bad.begin(), bad.end())};
+      bool ok = false;
+      EXPECT_NO_THROW(ok = c.decode(lease)) << "iteration " << iter;
+      accepted += ok ? 1 : 0;
+    }
+    // Some mutations (a flipped payload or name byte) leave a valid frame,
+    // so the checks on accepted values run too.
+    EXPECT_GT(accepted, 0);
   }
 }
 

@@ -1,5 +1,5 @@
-// Many-stream multiplexing (DESIGN.md "Stream multiplexing"): wire-prefix
-// compatibility, registry endpoint sharing (O(links) not O(streams)),
+// Many-stream multiplexing (DESIGN.md "Stream multiplexing"): the wire
+// prefix, registry endpoint sharing (O(links) not O(streams)),
 // per-stream demux routing, credit backpressure isolation, DRR fairness of
 // the shared drain path, mode-mismatch rejection at open, and plan-cache
 // keying when two streams with identical variable names share one link.
@@ -33,7 +33,7 @@ std::uint32_t test_seed() {
   return 0xF1E10;
 }
 
-// ---------------------------------------------------- wire compatibility --
+// ------------------------------------------------------------ wire prefix --
 
 TEST(WireMuxTest, PrefixRoundTrips) {
   const std::uint64_t sid = wire::stream_id_hash("temps");
@@ -55,26 +55,26 @@ TEST(WireMuxTest, PrefixRoundTrips) {
 }
 
 TEST(WireMuxTest, LegacyUnprefixedFramesStillParse) {
-  // Wire-format versioning: a frame produced by a pre-multiplexing build
-  // (no prefix) must pass through decode_mux untouched with stream_id 0.
+  // Every shared-link sender prefixes its frames, so decode_mux rejects a
+  // frame without the prefix, and a prefix naming stream id 0.
   wire::StepAnnounce ann;
   ann.step = 3;
   const auto raw = wire::encode(ann);
-
   auto mux = wire::decode_mux(ByteView(raw));
-  ASSERT_TRUE(mux.is_ok()) << mux.status().to_string();
-  EXPECT_EQ(mux.value().stream_id, 0u);
-  EXPECT_EQ(mux.value().inner.size(), raw.size());
-  EXPECT_EQ(mux.value().inner.data(), ByteView(raw).data());
+  EXPECT_FALSE(mux.is_ok());
+  EXPECT_EQ(mux.status().code(), ErrorCode::kInvalidArgument);
 
-  auto decoded = wire::decode_step_announce(mux.value().inner);
-  ASSERT_TRUE(decoded.is_ok());
-  EXPECT_EQ(decoded.value().step, 3);
+  serial::BufWriter zero_id;
+  zero_id.put_u8(wire::kMuxPrefixTag);
+  zero_id.put_varint(0);
+  zero_id.put_raw(raw.data(), raw.size());
+  EXPECT_FALSE(wire::decode_mux(zero_id.view()).is_ok());
 }
 
 TEST(WireMuxTest, PrefixedFrameFailsLoudlyInLegacyPeek) {
-  // The prefix tag sits outside the MsgType range, so a legacy decoder fed
-  // a multiplexed frame errors instead of misparsing it as a protocol frame.
+  // The prefix tag sits outside the MsgType range, so a dedicated-mode
+  // decoder fed a multiplexed frame errors instead of misparsing it as a
+  // protocol frame.
   auto framed = wire::encode_mux_prefix(wire::stream_id_hash("s"));
   const auto inner = wire::encode_close(5);
   framed.insert(framed.end(), inner.begin(), inner.end());
@@ -82,9 +82,7 @@ TEST(WireMuxTest, PrefixedFrameFailsLoudlyInLegacyPeek) {
 }
 
 TEST(WireMuxTest, NamingConventions) {
-  // The dedicated form is the seed's endpoint_name convention, pinned so a
-  // mixed-version deployment keeps rendezvousing.
-  EXPECT_EQ(Runtime::endpoint_name("s", "p", 3), "s|p.3");
+  // Dedicated endpoints are per stream, shared ones per (program, rank).
   EXPECT_EQ(StreamRegistry::dedicated_endpoint_name("s", "p", 3), "s|p.3");
   EXPECT_EQ(StreamRegistry::shared_endpoint_name("p", 3), "mux|p.3");
   EXPECT_TRUE(StreamRegistry::is_shared_name("mux|p.3"));
@@ -198,6 +196,27 @@ TEST(RegistryTest, DemuxRoutesFramesToTheRightStream) {
     EXPECT_EQ(c1.value(), 100 + i);
     EXPECT_EQ(c2.value(), 200 + i);
   }
+
+  // A frame without the prefix routes to no stream: the pump counts it in
+  // flexio.stream.orphan_frames and drops it.
+  const bool metrics_were_on = metrics::enabled();
+  metrics::set_enabled(true);
+  metrics::Counter& orphans = metrics::counter("flexio.stream.orphan_frames");
+  const std::uint64_t orphans0 = orphans.value();
+  auto raw_tx = rt.bus().create_endpoint("route_raw.0", evpath::Location{0, 0});
+  ASSERT_TRUE(raw_tx.is_ok());
+  ASSERT_TRUE(raw_tx.value()
+                  ->send(dest, ByteView(wire::encode_close(999)),
+                         evpath::SendMode::kAsync)
+                  .is_ok());
+  const auto deadline = std::chrono::steady_clock::now() + 10s;
+  while (orphans.value() == orphans0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    evpath::Message m;
+    EXPECT_FALSE(b1.value()->recv(&m, 20ms).is_ok());  // pumps, gets nothing
+  }
+  EXPECT_EQ(orphans.value() - orphans0, 1u);
+  metrics::set_enabled(metrics_were_on);
 }
 
 TEST(RegistryTest, SendIovCoalescesUnderThePrefix) {

@@ -111,19 +111,19 @@ TEST(BufferTest, VarintRandomRoundTrip) {
 }
 
 TEST(BufferTest, TrailerSkipPrimitives) {
-  // The wire layer's versioned-trailer contract (core/wire.cpp) leans on
-  // three buffer behaviors: at_end() distinguishes "old frame, no trailer
-  // bytes" from "trailer present"; get_view(remaining()) swallows an
-  // unknown tail in one step; and a truncated trailer surfaces as an
-  // explicit underrun rather than garbage.
+  // BufReader behaviour the decoders lean on: at_end() tells a consumed
+  // frame from one with bytes left (core/wire.cpp rejects the latter),
+  // get_view(remaining()) takes the rest in one step (the mux prefix
+  // decoder hands it on as the inner frame), and a truncated field
+  // surfaces as an explicit underrun rather than garbage.
   BufWriter w;
   w.put_u64(7);         // "body"
-  w.put_u8(200);        // unknown trailer tag
-  w.put_varint(12345);  // opaque future payload
+  w.put_u8(200);        // a tag
+  w.put_varint(12345);  // its payload
   BufReader r(w.view());
   std::uint64_t body = 0;
   ASSERT_TRUE(r.get_u64(&body).is_ok());
-  EXPECT_FALSE(r.at_end());  // trailer bytes present
+  EXPECT_FALSE(r.at_end());  // bytes left past the body
   std::uint8_t tag = 0;
   ASSERT_TRUE(r.get_u8(&tag).is_ok());
   EXPECT_EQ(tag, 200);
@@ -132,14 +132,14 @@ TEST(BufferTest, TrailerSkipPrimitives) {
   EXPECT_TRUE(r.at_end());
   EXPECT_EQ(r.remaining(), 0u);
 
-  // Old-format frame: body only, reader lands exactly at end.
+  // Body only: the reader lands exactly at the end.
   BufWriter old;
   old.put_u64(7);
   BufReader r_old(old.view());
   ASSERT_TRUE(r_old.get_u64(&body).is_ok());
   EXPECT_TRUE(r_old.at_end());
 
-  // Trailer tag present but its payload truncated: underrun, not garbage.
+  // Tag present but its payload truncated: underrun, not garbage.
   BufWriter cut;
   cut.put_u64(7);
   cut.put_u8(1);  // tag announcing a payload that never comes

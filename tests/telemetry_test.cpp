@@ -1,7 +1,7 @@
 // Tests for the live telemetry plane: Prometheus-style text exposition,
 // label-family retirement (including the stream-close path through the
-// registry), the shared flexio-stats-v1 delta encoder, the heartbeat
-// stats trailer and its directory-side cluster aggregation, the health
+// registry), the shared flexio-stats-v1 delta encoder, the heartbeat's
+// stats fields and their directory-side cluster aggregation, the health
 // watchdog's detectors under the fake clock, and the stats server's
 // scrape endpoints over a real loopback socket.
 //
@@ -394,9 +394,11 @@ TEST(WatchdogTest, SecondWatchdogRejectedAndHookDispatches) {
   EXPECT_FALSE(telemetry::watchdog_active());
 }
 
-// ------------------------------------------------ heartbeat stats trailer --
+// -------------------------------------------------- heartbeat stats fields --
 
 TEST(WireTrailerTest, HeartbeatStatsTrailerRoundTrips) {
+  // The program name and the stats line are fixed string fields of the
+  // heartbeat.
   wire::Heartbeat hb;
   hb.stream = "wind";
   hb.rank = 3;
@@ -410,40 +412,30 @@ TEST(WireTrailerTest, HeartbeatStatsTrailerRoundTrips) {
   EXPECT_EQ(decoded.value().stream, "wind");
   EXPECT_EQ(decoded.value().rank, 3);
   EXPECT_EQ(decoded.value().incarnation, 7u);
+  EXPECT_EQ(decoded.value().send_ns, 42u);
   EXPECT_EQ(decoded.value().program, "viz");
   EXPECT_EQ(decoded.value().stats, hb.stats);
 }
 
 TEST(WireTrailerTest, HeartbeatWithoutStatsDecodesEmpty) {
-  // A frame with no stats trailer -- byte-identical to what a pre-trailer
-  // encoder produced -- must decode with both fields empty.
+  // With publishing off both fields are empty strings: two zero length
+  // bytes close the frame, and they decode empty.
   wire::Heartbeat hb;
   hb.stream = "wind";
   hb.rank = 1;
   hb.incarnation = 2;
-  auto decoded = wire::decode_heartbeat(ByteView(wire::encode(hb)));
+  const std::vector<std::byte> raw = wire::encode(hb);
+  ASSERT_GE(raw.size(), 2u);
+  EXPECT_EQ(raw[raw.size() - 1], std::byte{0});
+  EXPECT_EQ(raw[raw.size() - 2], std::byte{0});
+  auto decoded = wire::decode_heartbeat(ByteView(raw));
   ASSERT_TRUE(decoded.is_ok());
   EXPECT_TRUE(decoded.value().program.empty());
   EXPECT_TRUE(decoded.value().stats.empty());
-}
-
-TEST(WireTrailerTest, StatsAndTraceTrailersCoexist) {
-  wire::Heartbeat hb;
-  hb.stream = "wind";
-  hb.rank = 0;
-  hb.incarnation = 1;
-  wire::TraceContext trace;
-  trace.span_id = 99;
-  hb.trace = trace;
-  hb.program = "sim";
-  hb.stats = "{\"schema\":\"flexio-stats-v1\",\"seq\":2,\"t_ns\":7}";
-
-  auto decoded = wire::decode_heartbeat(ByteView(wire::encode(hb)));
-  ASSERT_TRUE(decoded.is_ok());
-  ASSERT_TRUE(decoded.value().trace.has_value());
-  EXPECT_EQ(decoded.value().trace->span_id, 99u);
-  EXPECT_EQ(decoded.value().program, "sim");
-  EXPECT_EQ(decoded.value().stats, hb.stats);
+  // The frame ends there: a byte past it is corrupt.
+  std::vector<std::byte> longer = raw;
+  longer.push_back(std::byte{0});
+  EXPECT_FALSE(wire::decode_heartbeat(ByteView(longer)).is_ok());
 }
 
 // --------------------------------------------------- cluster aggregation --
@@ -501,7 +493,7 @@ TEST(DirectoryFoldTest, AccumulatesDeltasAndRejectsMalformed) {
 
 /// Acceptance: one scrape of a 2-rank simulated deployment returns both
 /// ranks' per-phase histograms through the directory aggregation path --
-/// heartbeat frames with stats trailers delivered through the runtime,
+/// heartbeat frames carrying stats lines delivered through the runtime,
 /// folded by the directory, served at /cluster, fetched over a real
 /// loopback socket.
 TEST(ClusterTest, TwoRankScrapeReturnsBothRanksPhaseHistograms) {
