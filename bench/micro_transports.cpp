@@ -1,7 +1,7 @@
 // Micro-benchmarks of the real data plane (google-benchmark).
 //
 // Ablations for the design choices DESIGN.md calls out: the FastForward
-// SPSC queue, the shm channel's three send paths (inline / pool / xpmem),
+// SPSC queue, the shm channel's send paths (inline / pool / sync pool),
 // the buffer pool, the RDMA registration cache (persistent vs dynamic
 // registration -- the functional analog of Figure 4), MxN re-distribution
 // planning, and the hyperslab copy kernel.
@@ -85,8 +85,7 @@ void BM_ShmChannelSend(benchmark::State& state) {
     }
   });
   for (auto _ : state) {
-    const Status st =
-        sync ? channel.send_sync(ByteView(msg)) : channel.send(ByteView(msg));
+    const Status st = channel.send(ByteView(msg), sync);
     if (!st.is_ok()) state.SkipWithError(st.to_string().c_str());
   }
   stop.store(true);
@@ -94,8 +93,9 @@ void BM_ShmChannelSend(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           state.range(0));
 }
-// {message size, sync?}: inline path, pool path (async 2-copy), xpmem path
-// (sync 1-copy).
+// {message size, sync?}: inline path (2 copies), pool path (async, 1 copy:
+// the consumer leases the slot), and the sync pool send, which also waits
+// for the consumer's dequeue.
 BENCHMARK(BM_ShmChannelSend)
     ->Args({128, 0})
     ->Args({1 << 20, 0})

@@ -23,6 +23,8 @@ int main() {
   xml::MethodConfig method;
   method.method = "FLEXIO";
 
+  // Printed by main after both threads join, so the output order is fixed.
+  unsigned long long plugin_pieces = 0;
   std::thread writer([&] {
     StreamSpec spec;
     spec.stream = "dcdemo";
@@ -53,9 +55,7 @@ int main() {
                      .is_ok());
     FLEXIO_CHECK(w.value()->end_step().is_ok());
     FLEXIO_CHECK(w.value()->close().is_ok());
-    std::printf("[writer] executed %llu plug-in pieces inside the producer\n",
-                static_cast<unsigned long long>(
-                    w.value()->counts().plugin_pieces));
+    plugin_pieces = w.value()->counts().plugin_pieces;
   });
 
   std::thread reader([&] {
@@ -117,5 +117,7 @@ int main() {
 
   writer.join();
   reader.join();
+  std::printf("[writer] executed %llu plug-in pieces inside the producer\n",
+              plugin_pieces);
   return 0;
 }

@@ -392,35 +392,17 @@ std::string StreamChannel::peer_name(const std::string& stream,
   return StreamRegistry::dedicated_endpoint_name(stream, program, rank);
 }
 
-Status StreamChannel::send(const std::string& to, ByteView msg,
+Status StreamChannel::send(const std::string& to,
+                           std::span<const ByteView> frags,
                            evpath::SendMode mode) {
-  if (own_ != nullptr) return own_->send(to, msg, mode);
-  std::vector<std::byte> bytes;
-  bytes.reserve(prefix_.size() + msg.size());
-  bytes.insert(bytes.end(), prefix_.begin(), prefix_.end());
-  bytes.insert(bytes.end(), msg.begin(), msg.end());
-  return send_mux(to, std::move(bytes), mode);
-}
-
-Status StreamChannel::send_iov(const std::string& to,
-                               std::span<const ByteView> frags,
-                               evpath::SendMode mode) {
-  if (own_ != nullptr) return own_->send_iov(to, frags, mode);
+  if (own_ != nullptr) return own_->send(to, frags, mode);
   // The shared path coalesces into an owned frame: queued frames outlive
   // the call, so borrowed fragment buffers cannot back them. One copy is
   // the price of the shared link table (DESIGN.md "Stream multiplexing").
-  std::size_t total = prefix_.size();
-  for (const ByteView f : frags) total += f.size();
-  std::vector<std::byte> bytes;
-  bytes.reserve(total);
-  bytes.insert(bytes.end(), prefix_.begin(), prefix_.end());
-  for (const ByteView f : frags) bytes.insert(bytes.end(), f.begin(), f.end());
-  return send_mux(to, std::move(bytes), mode);
-}
-
-Status StreamChannel::send_mux(const std::string& to,
-                               std::vector<std::byte> frame,
-                               evpath::SendMode mode) {
+  std::vector<std::byte> frame;
+  frame.reserve(prefix_.size() + total_size(frags));
+  frame.insert(frame.end(), prefix_.begin(), prefix_.end());
+  for (const ByteView f : frags) frame.insert(frame.end(), f.begin(), f.end());
   const Clock::time_point deadline = Clock::now() + opts_.timeout;
   if (mode == evpath::SendMode::kAsync) {
     {

@@ -78,10 +78,17 @@ class StreamChannel {
   std::string peer_name(const std::string& stream, const std::string& program,
                         int rank) const;
 
-  Status send(const std::string& to, ByteView msg,
+  /// Send the concatenation of `frags`. Dedicated mode hands the fragments
+  /// to the endpoint. Shared mode coalesces the mux prefix and the
+  /// fragments into one owned frame, since queued frames outlive the call;
+  /// a sync send then blocks on the drainer's completion, an async one
+  /// returns once the frame is queued under credit.
+  Status send(const std::string& to, std::span<const ByteView> frags,
               evpath::SendMode mode = evpath::SendMode::kAsync);
-  Status send_iov(const std::string& to, std::span<const ByteView> frags,
-                  evpath::SendMode mode = evpath::SendMode::kAsync);
+  Status send(const std::string& to, ByteView msg,
+              evpath::SendMode mode = evpath::SendMode::kAsync) {
+    return send(to, std::span<const ByteView>(&msg, 1), mode);
+  }
 
   /// Close the outbound link to a peer. Shared mode flushes this stream's
   /// queued frames and then only records the logical close: the underlying
@@ -113,12 +120,6 @@ class StreamChannel {
   friend class StreamRegistry;
   friend class SharedEndpoint;
   StreamChannel() = default;
-
-  /// Shared-mode send path: frame already carries the mux prefix. Sync
-  /// sends block on the drainer's completion; async sends return once the
-  /// frame is queued under credit.
-  Status send_mux(const std::string& to, std::vector<std::byte> frame,
-                  evpath::SendMode mode);
 
   std::string name_;
   std::string stream_;

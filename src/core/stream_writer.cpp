@@ -182,7 +182,7 @@ Status StreamWriter::begin_step(StepId step) {
   step_ = step;
   my_blocks_.clear();
   // Keep each slot's capacity for the next write into it. Borrowed pieces
-  // never outlive send_iov, so nothing still reads the old bytes.
+  // never outlive the send, so nothing still reads the old bytes.
   for (std::vector<std::byte>& slot : my_payloads_) slot.clear();
   return Status::ok();
 }
@@ -592,7 +592,7 @@ Status StreamWriter::send_to_reader(const ReaderWork& work, Counts* tally) {
     // payload views; transports gather them without a flat intermediate.
     const serial::IovMessage iov = wire::encode_data_iov(msg);
     const std::uint64_t enqueue_start = metrics::now_ns();
-    const Status st = channel_->send_iov(work.dest, iov.frags, send_mode);
+    const Status st = channel_->send(work.dest, iov.frags, send_mode);
     tally->enqueue_ns += metrics::now_ns() - enqueue_start;
     return st;
   };

@@ -4,6 +4,7 @@
 
 #include "util/backoff.h"
 #include "util/log.h"
+#include "util/metrics.h"
 
 namespace flexio::evpath {
 
@@ -16,6 +17,14 @@ namespace {
 constexpr int kRecvSpinYields = 64;
 constexpr util::BackoffPolicy kRecvBackoff{
     std::chrono::microseconds(2), std::chrono::microseconds(256), 2.0};
+
+// One increment per message handed to a link as several fragments (header
+// plus borrowed payload views) that the link gathers itself, instead of
+// being flattened into one buffer first.
+metrics::Counter& copies_avoided_counter() {
+  static metrics::Counter& c = metrics::counter("flexio.wire.copies_avoided");
+  return c;
+}
 
 }  // namespace
 
@@ -55,19 +64,16 @@ StatusOr<std::shared_ptr<Endpoint::LinkEntry>> Endpoint::outbound_or_connect(
   return entry;
 }
 
-Status Endpoint::send(const std::string& to, ByteView msg, SendMode mode) {
+Status Endpoint::send(const std::string& to, std::span<const ByteView> frags,
+                      SendMode mode) {
   auto entry = outbound_or_connect(to);
   if (!entry.is_ok()) return entry.status();
   std::lock_guard<std::mutex> link_lock(entry.value()->mutex);
-  return entry.value()->link->send(msg, mode);
-}
-
-Status Endpoint::send_iov(const std::string& to,
-                          std::span<const ByteView> frags, SendMode mode) {
-  auto entry = outbound_or_connect(to);
-  if (!entry.is_ok()) return entry.status();
-  std::lock_guard<std::mutex> link_lock(entry.value()->mutex);
-  return entry.value()->link->send_iov(frags, mode);
+  const Status st = entry.value()->link->send(frags, mode);
+  if (st.is_ok() && frags.size() > 1 && metrics::enabled()) {
+    copies_avoided_counter().inc();
+  }
+  return st;
 }
 
 Status Endpoint::close_to(const std::string& to) {

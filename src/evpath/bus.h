@@ -49,14 +49,15 @@ class Endpoint {
   const std::string& name() const { return name_; }
   const Location& location() const { return location_; }
 
-  /// Send to a named endpoint, creating the link on first use.
-  Status send(const std::string& to, ByteView msg,
+  /// Send to a named endpoint, creating the link on first use. The wire
+  /// message is the concatenation of `frags`, which the link gathers
+  /// straight into its transport buffer (SendLink::send).
+  Status send(const std::string& to, std::span<const ByteView> frags,
               SendMode mode = SendMode::kAsync);
-
-  /// Scatter-gather send: the wire message is the concatenation of `frags`.
-  /// Transports with a native gather path skip the flat coalescing copy.
-  Status send_iov(const std::string& to, std::span<const ByteView> frags,
-                  SendMode mode = SendMode::kAsync);
+  Status send(const std::string& to, ByteView msg,
+              SendMode mode = SendMode::kAsync) {
+    return send(to, std::span<const ByteView>(&msg, 1), mode);
+  }
 
   /// Close the outbound link to a peer (delivers EOS on its side).
   Status close_to(const std::string& to);

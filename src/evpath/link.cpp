@@ -1,6 +1,5 @@
 #include "evpath/link.h"
 
-#include <cstring>
 #include <map>
 #include <thread>
 
@@ -45,13 +44,6 @@ metrics::Counter& retry_counter() {
   return c;
 }
 
-// One increment per message a native scatter-gather override shipped
-// without the flat coalescing copy the base send_iov would have made.
-metrics::Counter& copies_avoided_counter() {
-  static metrics::Counter& c = metrics::counter("flexio.wire.copies_avoided");
-  return c;
-}
-
 void note_send(TransportKind kind, std::size_t bytes, std::uint64_t start_ns) {
   if (!metrics::enabled()) return;
   send_msgs_counter().inc();
@@ -59,21 +51,7 @@ void note_send(TransportKind kind, std::size_t bytes, std::uint64_t start_ns) {
   send_latency_hist(kind).record(metrics::now_ns() - start_ns);
 }
 
-std::size_t iov_bytes(std::span<const ByteView> frags) {
-  std::size_t n = 0;
-  for (const ByteView& f : frags) n += f.size();
-  return n;
-}
-
 }  // namespace
-
-Status SendLink::send_iov(std::span<const ByteView> frags, SendMode mode) {
-  // Fallback: coalesce into one buffer. Native transports override this.
-  std::vector<std::byte> flat;
-  flat.reserve(iov_bytes(frags));
-  for (const ByteView& f : frags) flat.insert(flat.end(), f.begin(), f.end());
-  return send(ByteView(flat), mode);
-}
 
 std::string_view transport_kind_name(TransportKind kind) {
   switch (kind) {
@@ -102,27 +80,11 @@ class InprocSendLink final : public SendLink {
  public:
   InprocSendLink(std::shared_ptr<InprocState> state) : state_(std::move(state)) {}
 
-  Status send(ByteView msg, SendMode) override {
+  Status send(std::span<const ByteView> frags, SendMode) override {
     const std::uint64_t start_ns = metrics::enabled() ? metrics::now_ns() : 0;
-    std::lock_guard<std::mutex> lock(state_->mutex);
-    if (state_->closed) {
-      return make_error(ErrorCode::kFailedPrecondition, "link closed");
-    }
-    if (state_->receiver_gone) {
-      return make_error(ErrorCode::kUnavailable, "inproc receiver gone");
-    }
-    state_->queue.emplace_back(msg.begin(), msg.end());
-    ++stats_.messages;
-    stats_.bytes += msg.size();
-    note_send(TransportKind::kInproc, msg.size(), start_ns);
-    return Status::ok();
-  }
-
-  Status send_iov(std::span<const ByteView> frags, SendMode) override {
-    const std::uint64_t start_ns = metrics::enabled() ? metrics::now_ns() : 0;
-    // Gather once into the queue entry itself instead of flattening first.
+    // Gather once into the queue entry itself.
     std::vector<std::byte> entry;
-    const std::size_t total = iov_bytes(frags);
+    const std::size_t total = total_size(frags);
     entry.reserve(total);
     for (const ByteView& f : frags) entry.insert(entry.end(), f.begin(), f.end());
     std::lock_guard<std::mutex> lock(state_->mutex);
@@ -136,7 +98,6 @@ class InprocSendLink final : public SendLink {
     ++stats_.messages;
     stats_.bytes += total;
     note_send(TransportKind::kInproc, total, start_ns);
-    if (metrics::enabled()) copies_avoided_counter().inc();
     return Status::ok();
   }
 
@@ -197,33 +158,22 @@ class InprocRecvLink final : public RecvLink {
 
 // ------------------------------------------------------------------- shm --
 
+// Both halves share one shm::Channel: small messages ride inline in its
+// queue, large ones in a pool slot the receive side leases. A kSync send of
+// a large message returns once the receive side has dequeued it.
 class ShmSendLink final : public SendLink {
  public:
   explicit ShmSendLink(std::shared_ptr<shm::Channel> channel)
       : channel_(std::move(channel)) {}
 
-  Status send(ByteView msg, SendMode mode) override {
+  Status send(std::span<const ByteView> frags, SendMode mode) override {
     const std::uint64_t start_ns = metrics::enabled() ? metrics::now_ns() : 0;
-    const Status st = mode == SendMode::kSync ? channel_->send_sync(msg)
-                                              : channel_->send(msg);
+    const Status st = channel_->send(frags, mode == SendMode::kSync);
     if (st.is_ok()) {
-      ++stats_.messages;
-      stats_.bytes += msg.size();
-      note_send(TransportKind::kShm, msg.size(), start_ns);
-    }
-    return st;
-  }
-
-  Status send_iov(std::span<const ByteView> frags, SendMode mode) override {
-    const std::uint64_t start_ns = metrics::enabled() ? metrics::now_ns() : 0;
-    const Status st = mode == SendMode::kSync ? channel_->send_sync_iov(frags)
-                                              : channel_->send_iov(frags);
-    if (st.is_ok()) {
-      const std::size_t total = iov_bytes(frags);
+      const std::size_t total = total_size(frags);
       ++stats_.messages;
       stats_.bytes += total;
       note_send(TransportKind::kShm, total, start_ns);
-      if (metrics::enabled()) copies_avoided_counter().inc();
     }
     return st;
   }
@@ -243,8 +193,9 @@ class ShmRecvLink final : public RecvLink {
       : peer_(std::move(peer)), channel_(std::move(channel)) {}
 
   ~ShmRecvLink() override {
-    // A sender blocked on ring space or an XPMEM sync ack would otherwise
-    // spin out its full timeout against a consumer that no longer exists.
+    // A sender blocked on ring space, a pool slot or a sync dequeue would
+    // otherwise wait out its full timeout against a consumer that no longer
+    // exists.
     channel_->abandon_receiver();
   }
 
@@ -302,14 +253,13 @@ struct RdmaControl {
   nnti::MemRegion region;
 };
 
-void encode_rdma_control(const RdmaControl& ctl, ByteView payload,
-                         serial::BufWriter* w) {
+/// The header alone: an eager payload is gathered in after it.
+void encode_rdma_control(const RdmaControl& ctl, serial::BufWriter* w) {
   w->put_u8(static_cast<std::uint8_t>(ctl.tag));
   w->put_varint(ctl.seq);
   w->put_varint(ctl.len);
   w->put_u64(ctl.region.key);
   w->put_u64(ctl.region.len);
-  if (!payload.empty()) w->put_raw(payload.data(), payload.size());
 }
 
 Status decode_rdma_control(ByteView raw, RdmaControl* ctl, ByteView* payload) {
@@ -366,40 +316,19 @@ class RdmaSendLink final : public SendLink {
     for (auto& [seq, buf] : outstanding_) cache_.release(buf);
   }
 
-  Status send(ByteView msg, SendMode mode) override {
+  Status send(std::span<const ByteView> frags, SendMode mode) override {
     const std::uint64_t start_ns = metrics::enabled() ? metrics::now_ns() : 0;
     // Opportunistic poll; a transient ack error here surfaces on the next
     // blocking drain instead.
     (void)drain_acks(std::chrono::nanoseconds(0));
-    Status st;
-    if (msg.size() <= options_.rdma_eager_threshold) {
-      st = send_eager(msg);
-    } else {
-      st = send_rendezvous(msg, mode);
-    }
-    if (st.is_ok()) {
-      ++stats_.messages;
-      stats_.bytes += msg.size();
-      note_send(TransportKind::kRdma, msg.size(), start_ns);
-    }
-    return st;
-  }
-
-  Status send_iov(std::span<const ByteView> frags, SendMode mode) override {
-    const std::uint64_t start_ns = metrics::enabled() ? metrics::now_ns() : 0;
-    (void)drain_acks(std::chrono::nanoseconds(0));
-    const std::size_t total = iov_bytes(frags);
-    Status st;
-    if (total <= options_.rdma_eager_threshold) {
-      st = send_eager_iov(frags, total);
-    } else {
-      st = send_rendezvous_iov(frags, total, mode);
-    }
+    const std::size_t total = total_size(frags);
+    const Status st = total <= options_.rdma_eager_threshold
+                          ? send_eager(frags, total)
+                          : send_rendezvous(frags, total, mode);
     if (st.is_ok()) {
       ++stats_.messages;
       stats_.bytes += total;
       note_send(TransportKind::kRdma, total, start_ns);
-      if (metrics::enabled()) copies_avoided_counter().inc();
     }
     return st;
   }
@@ -419,7 +348,7 @@ class RdmaSendLink final : public SendLink {
       }
     }
     serial::BufWriter w;
-    encode_rdma_control(RdmaControl{RdmaTag::kEos, 0, 0, {}}, {}, &w);
+    encode_rdma_control(RdmaControl{RdmaTag::kEos, 0, 0, {}}, &w);
     return with_retries(
         [&] { return nic_->put_message(peer_nic_, w.view()); },
         options_.max_retries, &stats_);
@@ -429,62 +358,33 @@ class RdmaSendLink final : public SendLink {
   LinkStats stats() const override { return stats_; }
 
  private:
-  Status send_eager(ByteView msg) {
-    serial::BufWriter w;
-    encode_rdma_control(RdmaControl{RdmaTag::kEager, next_seq_++, msg.size(), {}},
-                        msg, &w);
-    return with_retries(
-        [&] { return nic_->put_message(peer_nic_, w.view()); },
-        options_.max_retries, &stats_);
-  }
-
-  Status send_eager_iov(std::span<const ByteView> frags, std::size_t total) {
+  Status send_eager(std::span<const ByteView> frags, std::size_t total) {
     // The control header and every payload fragment gather straight into
     // the peer's queue frame -- no flat intermediate message.
     serial::BufWriter w;
     encode_rdma_control(RdmaControl{RdmaTag::kEager, next_seq_++, total, {}},
-                        {}, &w);
+                        &w);
     std::vector<ByteView> all;
     all.reserve(frags.size() + 1);
     all.push_back(w.view());
     all.insert(all.end(), frags.begin(), frags.end());
     return with_retries(
-        [&] { return nic_->put_message_iov(peer_nic_, all); },
+        [&] { return nic_->put_message(peer_nic_, all); },
         options_.max_retries, &stats_);
   }
 
-  Status send_rendezvous(ByteView msg, SendMode mode) {
-    auto buffer = cache_.acquire(msg.size());
-    if (!buffer.is_ok()) return buffer.status();
-    nnti::RegisteredBuffer buf = buffer.value();
-    std::memcpy(buf.data, msg.data(), msg.size());
-    return finish_rendezvous(buf, msg.size(), mode);
-  }
-
-  Status send_rendezvous_iov(std::span<const ByteView> frags,
-                             std::size_t total, SendMode mode) {
-    // Gather the fragments directly into the registered buffer the
-    // receiver will Get from, skipping the flat coalescing copy.
+  /// Gather the fragments into a registered buffer the receiver will Get
+  /// from, announce it, and (for sync sends) wait for the Get-completion ack.
+  Status send_rendezvous(std::span<const ByteView> frags, std::size_t total,
+                         SendMode mode) {
     auto buffer = cache_.acquire(total);
     if (!buffer.is_ok()) return buffer.status();
-    nnti::RegisteredBuffer buf = buffer.value();
-    std::byte* dst = buf.data;
-    for (const ByteView& f : frags) {
-      if (f.empty()) continue;
-      std::memcpy(dst, f.data(), f.size());
-      dst += f.size();
-    }
-    return finish_rendezvous(buf, total, mode);
-  }
-
-  /// Announce a filled registered buffer to the receiver and (for sync
-  /// sends) wait for the Get-completion ack.
-  Status finish_rendezvous(nnti::RegisteredBuffer buf, std::size_t len,
-                           SendMode mode) {
+    const nnti::RegisteredBuffer buf = buffer.value();
+    gather(frags, buf.data);
     const std::uint64_t seq = next_seq_++;
     serial::BufWriter w;
     encode_rdma_control(
-        RdmaControl{RdmaTag::kRendezvous, seq, len, buf.region}, {}, &w);
+        RdmaControl{RdmaTag::kRendezvous, seq, total, buf.region}, &w);
     const Status st = with_retries(
         [&] { return nic_->put_message(peer_nic_, w.view()); },
         options_.max_retries, &stats_);
@@ -606,7 +506,7 @@ class RdmaRecvLink final : public RecvLink {
             [&] { return nic_->get(sender_nic_name_, ctl.region, 0, target); },
             options_.max_retries, &dummy));
         serial::BufWriter w;
-        encode_rdma_control(RdmaControl{RdmaTag::kAck, ctl.seq, 0, {}}, {}, &w);
+        encode_rdma_control(RdmaControl{RdmaTag::kAck, ctl.seq, 0, {}}, &w);
         FLEXIO_RETURN_IF_ERROR(with_retries(
             [&] { return nic_->put_message(sender_nic_name_, w.view()); },
             options_.max_retries, &dummy));
@@ -660,7 +560,6 @@ make_shm_link(std::string peer_name, LinkOptions options) {
   copts.queue_entries = options.queue_entries;
   copts.queue_payload_bytes = options.queue_payload_bytes;
   copts.pool_bytes = options.pool_bytes;
-  copts.use_xpmem = options.use_xpmem;
   copts.timeout = options.timeout;
   auto channel = std::make_shared<shm::Channel>(copts);
   return {std::make_unique<ShmSendLink>(channel),

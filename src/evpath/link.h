@@ -34,14 +34,16 @@ struct LinkStats {
 class SendLink {
  public:
   virtual ~SendLink() = default;
-  virtual Status send(ByteView msg, SendMode mode) = 0;
 
-  /// Scatter-gather send: the message on the wire is the concatenation of
-  /// `frags`. The base implementation coalesces into a flat buffer and
-  /// falls back to send(); transports override it to gather the fragments
-  /// natively, skipping that copy (counted in flexio.wire.copies_avoided).
-  /// Fragments must stay valid until the call returns.
-  virtual Status send_iov(std::span<const ByteView> frags, SendMode mode);
+  /// Send one message: the concatenation of `frags`, which the transport
+  /// gathers straight into its own buffer (queue entry, pool slot, eager
+  /// frame or registered buffer), so a header plus borrowed payload views
+  /// is never flattened first. Fragments must stay valid until the call
+  /// returns. `mode` is the pacing described at SendMode.
+  virtual Status send(std::span<const ByteView> frags, SendMode mode) = 0;
+  Status send(ByteView msg, SendMode mode) {
+    return send(std::span<const ByteView>(&msg, 1), mode);
+  }
 
   virtual Status close() = 0;
   virtual TransportKind kind() const = 0;
@@ -71,7 +73,6 @@ struct LinkOptions {
   std::size_t rdma_eager_threshold = 4096;
   std::chrono::nanoseconds timeout = std::chrono::seconds(30);
   int max_retries = 3;
-  bool use_xpmem = true;
 };
 
 /// Create a matched (send, recv) pair over an in-process queue.

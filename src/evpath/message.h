@@ -27,19 +27,25 @@ std::string_view transport_kind_name(TransportKind kind);
 /// One received message. `eos` marks the peer's clean close of the link;
 /// payload is empty in that case. The payload is a lease over the memory
 /// the transport received into (shm pool slot, rdma receive buffer, inproc
-/// queue entry, or the one copy an shm inline or XPMEM receive makes):
-/// building a Message copies nothing more, and the memory returns to its
-/// transport when the last copy of the lease drops.
+/// queue entry, or the copy an shm inline receive makes): building a
+/// Message copies nothing more, and the memory returns to its transport
+/// when the last copy of the lease drops.
 struct Message {
   std::string from;
   ByteLease payload;
   bool eos = false;
 };
 
-/// Delivery semantics for sends.
+/// Delivery semantics for sends. What kSync waits for, per transport:
+///  * inproc: nothing; the message is in the receiver's queue at return;
+///  * shm: the consumer's dequeue of a pool-sized message (an inline-sized
+///    one returns at enqueue, its payload already out of the caller's
+///    buffers);
+///  * rdma: the receiver's Get-completion ack of a rendezvous message (an
+///    eager one returns once it sits in the receiver's queue).
 enum class SendMode {
   kAsync,  // return once the payload is safely buffered
-  kSync,   // return once the receiver has consumed the payload
+  kSync,   // return once the receiver has taken the payload (see above)
 };
 
 }  // namespace flexio::evpath

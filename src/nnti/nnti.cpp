@@ -92,24 +92,8 @@ Status Nic::unregister_memory(const MemRegion& region) {
   return Status::ok();
 }
 
-Status Nic::put_message(const std::string& peer, ByteView msg) {
-  return put_message_impl(peer, std::vector<std::byte>(msg.begin(), msg.end()));
-}
-
-Status Nic::put_message_iov(const std::string& peer,
-                            std::span<const ByteView> frags) {
-  std::size_t total = 0;
-  for (const ByteView& f : frags) total += f.size();
-  std::vector<std::byte> gathered;
-  gathered.reserve(total);
-  for (const ByteView& f : frags) {
-    gathered.insert(gathered.end(), f.begin(), f.end());
-  }
-  return put_message_impl(peer, std::move(gathered));
-}
-
-Status Nic::put_message_impl(const std::string& peer,
-                             std::vector<std::byte>&& msg) {
+Status Nic::put_message(const std::string& peer,
+                        std::span<const ByteView> frags) {
   const FaultAction action =
       fabric_->inject_action(Op::kPutMessage, name_, peer);
   if (!action.status.is_ok()) return action.status;
@@ -124,6 +108,9 @@ Status Nic::put_message_impl(const std::string& peer,
   if (!target) {
     return make_error(ErrorCode::kUnavailable, "peer gone: " + peer);
   }
+  std::vector<std::byte> msg;
+  msg.reserve(total_size(frags));
+  for (const ByteView& f : frags) msg.insert(msg.end(), f.begin(), f.end());
   std::vector<std::byte> dup;
   if (action.duplicate) dup = msg;  // copy before the frame moves away
   const Status st = target->deliver(std::move(msg));

@@ -89,17 +89,15 @@ class Nic {
   Status unregister_memory(const MemRegion& region);
 
   /// Enqueue a small message into the peer's receive queue (FMA-Put-style).
-  /// Fails with kResourceExhausted when the peer queue is full.
-  /// Thread-safe (per-NIC mutex): each RDMA link owns a dedicated tx/rx
-  /// NIC pair, so concurrent sends on different links only meet at the
-  /// fabric's name-lookup mutex, never on a queue.
-  Status put_message(const std::string& peer, ByteView msg);
-
-  /// Scatter-gather put_message: the message is the concatenation of
-  /// `frags`, gathered once into the queue entry itself (one copy total
-  /// instead of flat-encode + enqueue).
-  Status put_message_iov(const std::string& peer,
-                         std::span<const ByteView> frags);
+  /// The message is the concatenation of `frags`, gathered once into the
+  /// queue entry itself. Fails with kResourceExhausted when the peer queue
+  /// is full. Thread-safe (per-NIC mutex): each RDMA link owns a dedicated
+  /// tx/rx NIC pair, so concurrent sends on different links only meet at
+  /// the fabric's name-lookup mutex, never on a queue.
+  Status put_message(const std::string& peer, std::span<const ByteView> frags);
+  Status put_message(const std::string& peer, ByteView msg) {
+    return put_message(peer, std::span<const ByteView>(&msg, 1));
+  }
 
   /// Dequeue the next small message; blocks up to `timeout`.
   Status poll_message(std::vector<std::byte>* out,
@@ -141,9 +139,6 @@ class Nic {
   std::map<std::uint64_t, Region> regions_;
   std::uint64_t next_key_ = 1;
   NicStats stats_;
-
-  Status put_message_impl(const std::string& peer,
-                          std::vector<std::byte>&& msg);
 
   // Called by peers (any thread). Takes ownership of the frame.
   Status deliver(std::vector<std::byte>&& msg);

@@ -51,21 +51,51 @@ std::size_t BufferPool::class_capacity(std::uint32_t size_class) {
 }
 
 StatusOr<PoolBuffer> BufferPool::acquire(std::size_t size) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return acquire_locked(size);
+}
+
+StatusOr<PoolBuffer> BufferPool::acquire_until(
+    std::size_t size, std::chrono::steady_clock::time_point deadline) {
+  const bool never_fits = class_capacity(class_for(size)) > 2 * capacity_bytes_;
+  std::unique_lock<std::mutex> lock(mutex_);
+  for (;;) {
+    StatusOr<PoolBuffer> buf = acquire_locked(size);
+    if (buf.is_ok() || never_fits) return buf;
+    if (waits_cancelled_) {
+      return make_error(ErrorCode::kUnavailable,
+                        "buffer pool wait: receiver gone");
+    }
+    if (released_.wait_until(lock, deadline) == std::cv_status::timeout) {
+      return make_error(ErrorCode::kTimeout,
+                        "buffer pool wait timed out: " +
+                            buf.status().message());
+    }
+  }
+}
+
+void BufferPool::cancel_waits() {
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    waits_cancelled_ = true;
+  }
+  released_.notify_all();
+}
+
+StatusOr<PoolBuffer> BufferPool::acquire_locked(std::size_t size) {
   const std::uint32_t cls = class_for(size);
   const std::size_t cap = class_capacity(cls);
-
-  std::lock_guard<std::mutex> lock(mutex_);
-  ++stats_.acquisitions;
   if (cls >= shelves_.size()) shelves_.resize(cls + 1);
 
   Shelf& shelf = shelves_[cls];
   PoolBuffer out;
   out.capacity = cap;
   out.size_class = cls;
-  out.id = next_id_++;
   if (!shelf.free_buffers.empty()) {
     out.data = shelf.free_buffers.back();
     shelf.free_buffers.pop_back();
+    out.id = next_id_++;
+    ++stats_.acquisitions;
     ++stats_.reuses;
     stats_.bytes_in_use += cap;
     // One gate check for the whole reuse fast path.
@@ -102,6 +132,8 @@ StatusOr<PoolBuffer> BufferPool::acquire(std::size_t size) {
                    cap, stats_.bytes_allocated, capacity_bytes_));
   }
   out.data = new std::byte[cap];
+  out.id = next_id_++;
+  ++stats_.acquisitions;
   ++stats_.allocations;
   stats_.bytes_allocated += cap;
   stats_.bytes_in_use += cap;
@@ -115,6 +147,8 @@ StatusOr<PoolBuffer> BufferPool::acquire(std::size_t size) {
 void BufferPool::release(PoolBuffer buffer) {
   if (!buffer) return;
   std::lock_guard<std::mutex> lock(mutex_);
+  // A waiter re-checks only once this lock drops, after the release below.
+  released_.notify_all();
   FLEXIO_CHECK(buffer.size_class < shelves_.size());
   FLEXIO_CHECK(stats_.bytes_in_use >= buffer.capacity);
   stats_.bytes_in_use -= buffer.capacity;

@@ -8,6 +8,8 @@
 // also tracks a capacity threshold that triggers reclamation.
 #pragma once
 
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <mutex>
 #include <vector>
@@ -18,8 +20,8 @@
 namespace flexio::shm {
 
 /// Handle to a pooled buffer. Plain data so it can cross "address spaces"
-/// inside a control message (the in-process analog of an XPMEM segment id /
-/// RDMA remote address).
+/// inside a control message (the in-process analog of a shared-segment
+/// offset / RDMA remote address).
 struct PoolBuffer {
   std::byte* data = nullptr;
   std::size_t capacity = 0;   // size-class capacity, >= requested size
@@ -59,7 +61,22 @@ class BufferPool {
   /// after reclaiming everything free.
   StatusOr<PoolBuffer> acquire(std::size_t size);
 
+  /// acquire() that applies backpressure instead of refusing: while the
+  /// request does not fit, it waits (no spinning) for a release(). Instead
+  /// of waiting it fails with kUnavailable once cancel_waits() was called,
+  /// and with kResourceExhausted when the request exceeds 2x the threshold
+  /// on its own, so that no release can make it fit. Fails with kTimeout
+  /// at `deadline`.
+  StatusOr<PoolBuffer> acquire_until(
+      std::size_t size, std::chrono::steady_clock::time_point deadline);
+
+  /// Make every current and later acquire_until() that would wait fail
+  /// with kUnavailable instead: the consumer whose releases it waits for
+  /// is gone.
+  void cancel_waits();
+
   /// Return a buffer. Reuses it when under the threshold, frees otherwise.
+  /// Wakes a producer waiting in acquire_until().
   void release(PoolBuffer buffer);
 
   PoolStats stats() const;
@@ -78,7 +95,11 @@ class BufferPool {
     std::vector<std::byte*> free_buffers;
   };
 
+  StatusOr<PoolBuffer> acquire_locked(std::size_t size);
+
   mutable std::mutex mutex_;
+  std::condition_variable released_;
+  bool waits_cancelled_ = false;
   std::size_t capacity_bytes_;
   std::vector<Shelf> shelves_;
   PoolStats stats_;

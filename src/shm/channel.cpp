@@ -6,29 +6,7 @@
 namespace flexio::shm {
 
 namespace {
-constexpr std::size_t kControlBytes = 1 + 8 + 8 + 8 + 4 + 8 + 8;
-
-// One published fragment of an xpmem-iov sync send. The producer blocks on
-// the ack until the consumer gathered every segment, so the descriptor
-// array may live on the producer's stack/heap.
-struct XpmemSeg {
-  std::uint64_t addr = 0;
-  std::uint64_t len = 0;
-};
-
-std::size_t iov_total(std::span<const ByteView> frags) {
-  std::size_t n = 0;
-  for (const ByteView& f : frags) n += f.size();
-  return n;
-}
-
-void iov_gather(std::span<const ByteView> frags, std::byte* dst) {
-  for (const ByteView& f : frags) {
-    if (f.empty()) continue;
-    std::memcpy(dst, f.data(), f.size());
-    dst += f.size();
-  }
-}
+constexpr std::size_t kControlBytes = 1 + 8 + 8 + 8 + 4 + 8;
 }  // namespace
 
 Channel::Channel(ChannelOptions options)
@@ -61,7 +39,7 @@ PoolBuffer Channel::pool_buffer_of(const Control& ctl) {
 
 void Channel::encode_control(const Control& ctl, std::span<const ByteView> frags,
                              std::vector<std::byte>* out) {
-  out->resize(kControlBytes + iov_total(frags));
+  out->resize(kControlBytes + total_size(frags));
   std::byte* p = out->data();
   auto put = [&p](const void* src, std::size_t n) {
     std::memcpy(p, src, n);
@@ -74,8 +52,7 @@ void Channel::encode_control(const Control& ctl, std::span<const ByteView> frags
   put(&ctl.pool_capacity, 8);
   put(&ctl.pool_class, 4);
   put(&ctl.pool_id, 8);
-  put(&ctl.ack_addr, 8);
-  iov_gather(frags, p);
+  gather(frags, p);
 }
 
 Status Channel::decode_control(ByteView raw, Control* ctl,
@@ -90,7 +67,7 @@ Status Channel::decode_control(ByteView raw, Control* ctl,
   };
   std::uint8_t tag = 0;
   get(&tag, 1);
-  if (tag > static_cast<std::uint8_t>(Tag::kXpmemIov)) {
+  if (tag > static_cast<std::uint8_t>(Tag::kEos)) {
     return make_error(ErrorCode::kInternal, "bad shm control tag");
   }
   ctl->tag = static_cast<Tag>(tag);
@@ -99,28 +76,22 @@ Status Channel::decode_control(ByteView raw, Control* ctl,
   get(&ctl->pool_capacity, 8);
   get(&ctl->pool_class, 4);
   get(&ctl->pool_id, 8);
-  get(&ctl->ack_addr, 8);
   *inline_payload = raw.subspan(kControlBytes);
   return Status::ok();
 }
 
-Status Channel::send_control(const Control& ctl, ByteView inline_payload) {
-  const ByteView one[] = {inline_payload};
-  return send_control(ctl, std::span<const ByteView>(one));
-}
-
 Status Channel::send_control(const Control& ctl,
-                             std::span<const ByteView> frags) {
+                             std::span<const ByteView> frags,
+                             Clock::time_point deadline) {
   std::vector<std::byte> wire;
   encode_control(ctl, frags, &wire);
   // Enqueue in short slices so a producer blocked on a full ring notices a
   // departed consumer quickly instead of waiting out the whole timeout.
-  const auto deadline = std::chrono::steady_clock::now() + options_.timeout;
   for (;;) {
     if (receiver_gone_.load(std::memory_order_acquire)) {
       return make_error(ErrorCode::kUnavailable, "shm receiver gone");
     }
-    const auto now = std::chrono::steady_clock::now();
+    const auto now = Clock::now();
     if (now >= deadline) {
       return make_error(ErrorCode::kTimeout, "shm queue full");
     }
@@ -131,110 +102,49 @@ Status Channel::send_control(const Control& ctl,
   }
 }
 
-Status Channel::wait_ack(const std::atomic<std::uint32_t>& ack) {
-  const auto deadline = std::chrono::steady_clock::now() + options_.timeout;
+Status Channel::wait_dequeued(std::uint64_t ticket,
+                              Clock::time_point deadline) {
   int spins = 0;
-  while (ack.load(std::memory_order_acquire) == 0) {
+  while (queue_.dequeued() < ticket) {
     if (receiver_gone_.load(std::memory_order_acquire)) {
-      // The consumer was destroyed: it will never copy or touch the ack
-      // flag, so the published buffers are safe to reclaim immediately.
-      closed_.store(true, std::memory_order_relaxed);
       return make_error(ErrorCode::kUnavailable,
-                        "xpmem sync send: receiver gone");
+                        "shm sync send: receiver gone");
     }
     if (++spins > 64) std::this_thread::yield();
-    if (std::chrono::steady_clock::now() > deadline) {
-      // The consumer may still touch the published buffers and the ack flag
-      // after we give up, so a timeout here is unrecoverable: poison the
-      // channel.
-      closed_.store(true, std::memory_order_relaxed);
+    if (Clock::now() > deadline) {
+      // The message stays queued and still arrives; it exposes no
+      // producer memory, so the channel stays usable.
       return make_error(ErrorCode::kTimeout,
-                        "xpmem sync send: consumer never copied");
+                        "shm sync send: consumer never dequeued");
     }
   }
   return Status::ok();
 }
 
-Status Channel::send(ByteView msg) {
+Status Channel::send(std::span<const ByteView> frags, bool sync) {
   if (closed_.load(std::memory_order_relaxed)) {
     return make_error(ErrorCode::kFailedPrecondition, "channel closed");
   }
+  const Clock::time_point deadline = Clock::now() + options_.timeout;
+  const std::size_t total = total_size(frags);
   Control ctl{};
-  if (msg.size() <= options_.inline_threshold) {
-    ctl.tag = Tag::kInline;
-    ctl.size = msg.size();
-    inline_sends_.fetch_add(1, std::memory_order_relaxed);
-    bytes_sent_.fetch_add(msg.size(), std::memory_order_relaxed);
-    copies_.fetch_add(2, std::memory_order_relaxed);  // in + out of entry
-    return send_control(ctl, msg);
-  }
-  // Pool path: copy into a pooled buffer, the only copy; the consumer leases
-  // the buffer and its last lease returns it to our free list.
-  auto buffer = pool_->acquire(msg.size());
-  if (!buffer.is_ok()) return buffer.status();
-  PoolBuffer buf = buffer.value();
-  std::memcpy(buf.data, msg.data(), msg.size());
-  ctl.tag = Tag::kPool;
-  ctl.size = msg.size();
-  ctl.addr = reinterpret_cast<std::uint64_t>(buf.data);
-  ctl.pool_capacity = buf.capacity;
-  ctl.pool_class = buf.size_class;
-  ctl.pool_id = buf.id;
-  pool_sends_.fetch_add(1, std::memory_order_relaxed);
-  bytes_sent_.fetch_add(msg.size(), std::memory_order_relaxed);
-  copies_.fetch_add(1, std::memory_order_relaxed);
-  const Status st = send_control(ctl, ByteView{});
-  if (!st.is_ok()) pool_->release(buf);  // undo so the buffer is not leaked
-  return st;
-}
-
-Status Channel::send_sync(ByteView msg) {
-  if (!options_.use_xpmem || msg.size() <= options_.inline_threshold) {
-    // Fall back to the copying path; queue completion is good enough for
-    // small messages since the payload left the caller's buffer already.
-    return send(msg);
-  }
-  if (closed_.load(std::memory_order_relaxed)) {
-    return make_error(ErrorCode::kFailedPrecondition, "channel closed");
-  }
-  // XPMEM path: publish the caller's buffer, wait for the consumer's ack.
-  std::atomic<std::uint32_t> ack{0};
-  Control ctl{};
-  ctl.tag = Tag::kXpmem;
-  ctl.size = msg.size();
-  ctl.addr = reinterpret_cast<std::uint64_t>(msg.data());
-  ctl.ack_addr = reinterpret_cast<std::uint64_t>(&ack);
-  xpmem_sends_.fetch_add(1, std::memory_order_relaxed);
-  bytes_sent_.fetch_add(msg.size(), std::memory_order_relaxed);
-  copies_.fetch_add(1, std::memory_order_relaxed);  // single consumer copy
-  FLEXIO_RETURN_IF_ERROR(send_control(ctl, ByteView{}));
-  return wait_ack(ack);
-}
-
-Status Channel::send_iov(std::span<const ByteView> frags) {
-  if (closed_.load(std::memory_order_relaxed)) {
-    return make_error(ErrorCode::kFailedPrecondition, "channel closed");
-  }
-  const std::size_t total = iov_total(frags);
-  Control ctl{};
+  ctl.size = total;
   if (total <= options_.inline_threshold) {
-    // Gather straight into the queue entry: the flat coalescing copy a
-    // plain send() would have needed never happens.
+    // Gather straight into the queue entry. A sync send returns here too:
+    // the payload has already left the caller's buffers.
     ctl.tag = Tag::kInline;
-    ctl.size = total;
     inline_sends_.fetch_add(1, std::memory_order_relaxed);
     bytes_sent_.fetch_add(total, std::memory_order_relaxed);
     copies_.fetch_add(2, std::memory_order_relaxed);  // in + out of entry
-    return send_control(ctl, frags);
+    return send_control(ctl, frags, deadline);
   }
-  // Pool path: gather the fragments directly into the pooled buffer, the
-  // only copy; the consumer leases it as usual.
-  auto buffer = pool_->acquire(total);
+  // Pool path: gather into a pooled buffer, the only copy; the consumer
+  // leases the buffer and its last lease returns it to our free list.
+  auto buffer = pool_->acquire_until(total, deadline);
   if (!buffer.is_ok()) return buffer.status();
-  PoolBuffer buf = buffer.value();
-  iov_gather(frags, buf.data);
+  const PoolBuffer buf = buffer.value();
+  gather(frags, buf.data);
   ctl.tag = Tag::kPool;
-  ctl.size = total;
   ctl.addr = reinterpret_cast<std::uint64_t>(buf.data);
   ctl.pool_capacity = buf.capacity;
   ctl.pool_class = buf.size_class;
@@ -242,41 +152,14 @@ Status Channel::send_iov(std::span<const ByteView> frags) {
   pool_sends_.fetch_add(1, std::memory_order_relaxed);
   bytes_sent_.fetch_add(total, std::memory_order_relaxed);
   copies_.fetch_add(1, std::memory_order_relaxed);
-  const Status st = send_control(ctl, ByteView{});
-  if (!st.is_ok()) pool_->release(buf);
-  return st;
-}
-
-Status Channel::send_sync_iov(std::span<const ByteView> frags) {
-  const std::size_t total = iov_total(frags);
-  if (!options_.use_xpmem || total <= options_.inline_threshold) {
-    return send_iov(frags);
+  const Status st = send_control(ctl, {}, deadline);
+  if (!st.is_ok()) {
+    pool_->release(buf);  // undo so the buffer is not leaked
+    return st;
   }
-  if (closed_.load(std::memory_order_relaxed)) {
-    return make_error(ErrorCode::kFailedPrecondition, "channel closed");
-  }
-  // XPMEM iov path: publish a descriptor list of the caller's fragments and
-  // block until the consumer gathered them all -- one payload copy total,
-  // performed entirely by the consumer.
-  std::vector<XpmemSeg> segs;
-  segs.reserve(frags.size());
-  for (const ByteView& f : frags) {
-    if (f.empty()) continue;
-    segs.push_back(XpmemSeg{reinterpret_cast<std::uint64_t>(f.data()),
-                            static_cast<std::uint64_t>(f.size())});
-  }
-  std::atomic<std::uint32_t> ack{0};
-  Control ctl{};
-  ctl.tag = Tag::kXpmemIov;
-  ctl.size = total;
-  ctl.addr = reinterpret_cast<std::uint64_t>(segs.data());
-  ctl.pool_id = segs.size();  // repurposed as the segment count
-  ctl.ack_addr = reinterpret_cast<std::uint64_t>(&ack);
-  xpmem_sends_.fetch_add(1, std::memory_order_relaxed);
-  bytes_sent_.fetch_add(total, std::memory_order_relaxed);
-  copies_.fetch_add(1, std::memory_order_relaxed);
-  FLEXIO_RETURN_IF_ERROR(send_control(ctl, ByteView{}));
-  return wait_ack(ack);
+  // One producer per channel, so the count right after our enqueue is
+  // this message's ticket.
+  return sync ? wait_dequeued(queue_.enqueued(), deadline) : Status::ok();
 }
 
 Status Channel::receive(ByteLease* out) {
@@ -311,32 +194,6 @@ Status Channel::receive_for(ByteLease* out, std::chrono::nanoseconds timeout) {
       *out = ByteLease(ByteView(buf.data, ctl.size), std::move(owner));
       return Status::ok();
     }
-    case Tag::kXpmem: {
-      // "Map" the producer's segment and copy straight from its source
-      // buffer, then ack so the producer may reuse it.
-      const auto* src = reinterpret_cast<const std::byte*>(ctl.addr);
-      std::vector<std::byte> copy(src, src + ctl.size);
-      auto* ack = reinterpret_cast<std::atomic<std::uint32_t>*>(ctl.ack_addr);
-      ack->store(1, std::memory_order_release);
-      *out = ByteLease(std::move(copy));
-      return Status::ok();
-    }
-    case Tag::kXpmemIov: {
-      // Gather every published fragment straight out of the producer's
-      // buffers, then ack. pool_id carries the segment count.
-      const auto* segs = reinterpret_cast<const XpmemSeg*>(ctl.addr);
-      std::vector<std::byte> copy(ctl.size);
-      std::byte* dst = copy.data();
-      for (std::uint64_t i = 0; i < ctl.pool_id; ++i) {
-        std::memcpy(dst, reinterpret_cast<const std::byte*>(segs[i].addr),
-                    segs[i].len);
-        dst += segs[i].len;
-      }
-      auto* ack = reinterpret_cast<std::atomic<std::uint32_t>*>(ctl.ack_addr);
-      ack->store(1, std::memory_order_release);
-      *out = ByteLease(std::move(copy));
-      return Status::ok();
-    }
     case Tag::kEos:
       eos_received_ = true;
       return make_error(ErrorCode::kEndOfStream, "stream closed by producer");
@@ -346,6 +203,7 @@ Status Channel::receive_for(ByteLease* out, std::chrono::nanoseconds timeout) {
 
 void Channel::abandon_receiver() {
   receiver_gone_.store(true, std::memory_order_release);
+  pool_->cancel_waits();
 }
 
 Status Channel::close() {
@@ -356,14 +214,13 @@ Status Channel::close() {
   }
   Control ctl{};
   ctl.tag = Tag::kEos;
-  return send_control(ctl, ByteView{});
+  return send_control(ctl, {}, Clock::now() + options_.timeout);
 }
 
 ChannelStats Channel::stats() const {
   ChannelStats s;
   s.inline_sends = inline_sends_.load(std::memory_order_relaxed);
   s.pool_sends = pool_sends_.load(std::memory_order_relaxed);
-  s.xpmem_sends = xpmem_sends_.load(std::memory_order_relaxed);
   s.bytes_sent = bytes_sent_.load(std::memory_order_relaxed);
   s.memory_copies = copies_.load(std::memory_order_relaxed);
   return s;

@@ -1,16 +1,15 @@
-// Intra-node message channel: control queue + buffer pool + XPMEM-style path.
+// Intra-node message channel: control queue + buffer pool.
 //
-// Implements the paper's full shared-memory transport protocol
-// (Section II.D) for one producer -> consumer direction:
+// Implements the paper's shared-memory transport protocol (Section II.D)
+// for one producer -> consumer direction:
 //  * small messages ride inline in FastForward data-queue entries;
-//  * large asynchronous messages go through the shared buffer pool: the
-//    producer copies in, and the consumer receives a lease over the pool
-//    slot itself instead of copying out (the paper's second copy). The
-//    slot returns to the producer's free list when the lease drops;
-//  * large synchronous messages can use the XPMEM-style path: the producer
-//    publishes its source buffer as a segment and blocks until the consumer
-//    copies directly out of it ("one memory copy"), mirroring
-//    xpmem_make()/xpmem_attach().
+//  * large messages go through the shared buffer pool: the producer copies
+//    in, and the consumer receives a lease over the pool slot itself
+//    instead of copying out (the paper's second copy). The slot returns to
+//    the producer's free list when the lease drops. So a large message costs
+//    one copy, which is what the paper's XPMEM path existed to save; no
+//    separate path is needed. When the pool is over budget the producer
+//    waits for a lease to drop instead of failing.
 //
 // Threading contract: one producer thread at a time per channel (the SPSC
 // queue and buffer-pool free list assume a single concurrent sender);
@@ -35,10 +34,9 @@ namespace flexio::shm {
 struct ChannelStats {
   std::uint64_t inline_sends = 0;
   std::uint64_t pool_sends = 0;
-  std::uint64_t xpmem_sends = 0;
   std::uint64_t bytes_sent = 0;
   std::uint64_t memory_copies = 0;  // copies of message payloads, both sides
-                                    // (inline 2, pool 1, xpmem 1)
+                                    // (inline 2, pool 1)
 };
 
 /// Tuning knobs, fed from the XML method config.
@@ -49,8 +47,6 @@ struct ChannelOptions {
   /// Messages <= this ride inline in a queue entry. Must be smaller than
   /// queue_payload_bytes minus the control header.
   std::size_t inline_threshold = 192;
-  /// Use the XPMEM one-copy path for synchronous sends of large messages.
-  bool use_xpmem = true;
   std::chrono::nanoseconds timeout = std::chrono::seconds(30);
 };
 
@@ -63,30 +59,25 @@ class Channel {
   Channel(const Channel&) = delete;
   Channel& operator=(const Channel&) = delete;
 
-  /// Asynchronous send: returns once the message is enqueued (inline) or
-  /// copied into a pool buffer. The caller may reuse `msg` immediately.
-  Status send(ByteView msg);
-
-  /// Synchronous send: additionally guarantees the consumer has copied the
-  /// data out before returning. Uses the XPMEM one-copy path when enabled.
-  Status send_sync(ByteView msg);
-
-  /// Scatter-gather variants: the message is the concatenation of `frags`.
-  /// The producer gathers straight into the queue entry (inline) or pool
-  /// buffer, skipping the flat coalescing copy a plain send would need.
-  Status send_iov(std::span<const ByteView> frags);
-
-  /// Synchronous scatter-gather send. With XPMEM enabled the producer
-  /// publishes a fragment descriptor list and the consumer gathers directly
-  /// out of the producer's buffers -- still exactly one payload copy.
-  Status send_sync_iov(std::span<const ByteView> frags);
+  /// Send the concatenation of `frags`, gathered straight into the queue
+  /// entry (inline) or a pool slot: the only producer-side copy. Returns
+  /// once the message is enqueued, so the caller may reuse its buffers. A
+  /// `sync` send of a pool-sized message also waits until the consumer has
+  /// dequeued it; an inline-sized one returns at enqueue. A pool over budget
+  /// makes the send wait for the consumer's leases to drop. Every wait is
+  /// bounded by the channel timeout; a sync send that times out leaves its
+  /// message queued and the channel usable.
+  Status send(std::span<const ByteView> frags, bool sync = false);
+  Status send(ByteView msg, bool sync = false) {
+    return send(std::span<const ByteView>(&msg, 1), sync);
+  }
 
   /// Receive the next message. Returns kEndOfStream after close() has been
   /// received, kTimeout if nothing arrives in time. A pool message arrives
   /// as a lease over its pool slot (no copy-out): the slot stays busy until
   /// the last copy of the lease drops, and the lease keeps the pool alive
-  /// past this channel's destruction. Inline and XPMEM messages lease the
-  /// single copy the consumer made of them.
+  /// past this channel's destruction. An inline message leases the copy
+  /// the dequeue made of it.
   Status receive(ByteLease* out);
 
   /// Like receive() but with an explicit deadline; a zero timeout polls once
@@ -98,11 +89,10 @@ class Channel {
   Status close();
 
   /// Mark the consumer side as gone (its receive link was destroyed).
-  /// Subsequent sends -- and a producer already blocked on ring space or
-  /// an XPMEM ack -- fail fast with kUnavailable instead of burning the
-  /// full timeout against a consumer that will never drain the queue.
-  /// Safe because a destroyed consumer can no longer touch published
-  /// buffers or ack flags.
+  /// Subsequent sends -- and a producer already blocked on ring space, a
+  /// pool slot or a sync dequeue -- fail fast with kUnavailable instead of
+  /// burning the full timeout against a consumer that will never drain the
+  /// queue.
   void abandon_receiver();
   bool receiver_gone() const {
     return receiver_gone_.load(std::memory_order_acquire);
@@ -115,27 +105,26 @@ class Channel {
   const ChannelOptions& options() const { return options_; }
 
  private:
+  using Clock = std::chrono::steady_clock;
+
   enum class Tag : std::uint8_t {
     kInline = 0,
     kPool = 1,
-    kXpmem = 2,
-    kEos = 3,
-    kXpmemIov = 4,  // xpmem sync path with a fragment descriptor list
+    kEos = 2,
   };
 
   struct Control {  // fixed-size control message, fits any queue entry
     Tag tag;
     std::uint64_t size;
-    std::uint64_t addr;        // pool buffer / xpmem segment address
+    std::uint64_t addr;  // pool buffer address
     std::uint64_t pool_capacity;
     std::uint32_t pool_class;
     std::uint64_t pool_id;
-    std::uint64_t ack_addr;    // producer-side completion flag (xpmem path)
   };
 
-  Status send_control(const Control& ctl, ByteView inline_payload);
-  Status send_control(const Control& ctl, std::span<const ByteView> frags);
-  Status wait_ack(const std::atomic<std::uint32_t>& ack);
+  Status send_control(const Control& ctl, std::span<const ByteView> frags,
+                      Clock::time_point deadline);
+  Status wait_dequeued(std::uint64_t ticket, Clock::time_point deadline);
   static void encode_control(const Control& ctl,
                              std::span<const ByteView> frags,
                              std::vector<std::byte>* out);
@@ -152,7 +141,6 @@ class Channel {
   std::atomic<std::uint64_t> bytes_sent_{0};
   std::atomic<std::uint64_t> inline_sends_{0};
   std::atomic<std::uint64_t> pool_sends_{0};
-  std::atomic<std::uint64_t> xpmem_sends_{0};
   std::atomic<std::uint64_t> copies_{0};
   std::atomic<bool> closed_{false};
   std::atomic<bool> receiver_gone_{false};

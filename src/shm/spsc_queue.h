@@ -66,6 +66,16 @@ class SpscQueue {
   /// tolerates slight skew).
   QueueStats stats() const;
 
+  /// Messages published / consumed so far. Read right after its own
+  /// enqueue, enqueued() is the producer's ticket for that message; once
+  /// dequeued() reaches the ticket the consumer has taken the message.
+  std::uint64_t enqueued() const {
+    return producer_.enqueued.load(std::memory_order_relaxed);
+  }
+  std::uint64_t dequeued() const {
+    return consumer_.dequeued.load(std::memory_order_acquire);
+  }
+
  private:
   // Entry layout: [flag | size | payload...], padded to a multiple of the
   // cache line so consecutive entries never share a line.

@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <span>
 #include <string_view>
 
@@ -27,6 +28,22 @@ using StepId = std::int64_t;
 template <typename T>
 inline ByteView as_bytes_view(std::span<const T> s) {
   return std::as_bytes(s);
+}
+
+/// Total bytes of a scatter-gather fragment list.
+inline std::size_t total_size(std::span<const ByteView> frags) {
+  std::size_t n = 0;
+  for (const ByteView f : frags) n += f.size();
+  return n;
+}
+
+/// Copy `frags` back to back into `dst`, which holds total_size(frags).
+inline void gather(std::span<const ByteView> frags, std::byte* dst) {
+  for (const ByteView f : frags) {
+    if (f.empty()) continue;
+    std::memcpy(dst, f.data(), f.size());
+    dst += f.size();
+  }
 }
 
 /// Round `v` up to the next multiple of `align` (align must be a power of 2).

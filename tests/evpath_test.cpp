@@ -2,6 +2,7 @@
 // endpoint/bus connection management, and the directory server.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstring>
 #include <thread>
 
@@ -156,13 +157,15 @@ TEST(RdmaLinkTest, EagerThresholdBoundary) {
   EXPECT_EQ(rx.value()->stats().gets, 1u);
 }
 
-TEST(ShmLinkTest, XpmemDisabledStillSyncs) {
+TEST(ShmLinkTest, SyncSendWaitsForDequeue) {
   LinkOptions opts;
   opts.timeout = 2s;
-  opts.use_xpmem = false;
   auto [send, recv] = make_shm_link("peer", opts);
   const std::string big(50000, 'x');
-  std::thread consumer([&recv = recv] {
+  std::atomic<bool> polling{false};
+  std::thread consumer([&recv = recv, &polling] {
+    std::this_thread::sleep_for(20ms);
+    polling.store(true);
     Message msg;
     bool got = false;
     while (!got) {
@@ -172,6 +175,7 @@ TEST(ShmLinkTest, XpmemDisabledStillSyncs) {
     EXPECT_EQ(msg.payload.size(), 50000u);
   });
   EXPECT_TRUE(send->send(bytes_of(big), SendMode::kSync).is_ok());
+  EXPECT_TRUE(polling.load());  // returned only after the consumer's dequeue
   consumer.join();
 }
 

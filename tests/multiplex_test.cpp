@@ -234,8 +234,8 @@ TEST(RegistryTest, SendIovCoalescesUnderThePrefix) {
   const ByteView frags[] = {ByteView(raw.data(), half),
                             ByteView(raw.data() + half, raw.size() - half)};
   ASSERT_TRUE(tx.value()
-                  ->send_iov(StreamRegistry::shared_endpoint_name("pr", 0),
-                             frags, evpath::SendMode::kSync)
+                  ->send(StreamRegistry::shared_endpoint_name("pr", 0), frags,
+                         evpath::SendMode::kSync)
                   .is_ok());
   evpath::Message msg;
   ASSERT_TRUE(rx.value()->recv(&msg, 10s).is_ok());

@@ -1,7 +1,8 @@
 // Tests for the shared-memory transport: FastForward SPSC queue, buffer
-// pool, and the full channel protocol (inline / pool / xpmem / EOS).
+// pool, and the full channel protocol (inline / pool / sync / EOS).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstring>
 #include <thread>
 
@@ -261,30 +262,79 @@ TEST(ChannelTest, PoolSlotIsLeasedUntilTheLastCopyDrops) {
   EXPECT_EQ(string_of(ByteView(kept)), big);
 }
 
-TEST(ChannelTest, SyncLargeUsesXpmemOneCopy) {
+TEST(ChannelTest, SyncLargeWaitsForDequeueOneCopy) {
+  // A pool-sized sync send returns only once the consumer has dequeued the
+  // message. The consumer leases the pool slot, so the producer's gather is
+  // the only copy.
   Channel ch(small_options());
   std::string big(5000, 'q');
+  std::atomic<bool> receiving{false};
   ByteLease out;
-  std::thread consumer([&] { ASSERT_TRUE(ch.receive(&out).is_ok()); });
-  ASSERT_TRUE(ch.send_sync(bytes_of(big)).is_ok());
+  std::thread consumer([&] {
+    std::this_thread::sleep_for(50ms);
+    receiving.store(true);
+    ASSERT_TRUE(ch.receive(&out).is_ok());
+  });
+  ASSERT_TRUE(ch.send(bytes_of(big), /*sync=*/true).is_ok());
+  EXPECT_TRUE(receiving.load());
   consumer.join();
   EXPECT_EQ(string_of(out), big);
   const ChannelStats s = ch.stats();
-  EXPECT_EQ(s.xpmem_sends, 1u);
-  // Paper: XPMEM path needs a single copy.
+  EXPECT_EQ(s.pool_sends, 1u);
   EXPECT_EQ(s.memory_copies, 1u);
 }
 
-TEST(ChannelTest, SyncWithXpmemDisabledFallsBackToPool) {
-  ChannelOptions o = small_options();
-  o.use_xpmem = false;
-  Channel ch(o);
-  std::string big(5000, 'q');
-  ASSERT_TRUE(ch.send_sync(bytes_of(big)).is_ok());
-  ByteLease out;
-  ASSERT_TRUE(ch.receive(&out).is_ok());
-  EXPECT_EQ(ch.stats().pool_sends, 1u);
-  EXPECT_EQ(ch.stats().xpmem_sends, 0u);
+TEST(ChannelTest, PoolOverBudgetWaitsForALease) {
+  // Two 5000-byte messages fill the pool's 2x overshoot (two 8 KiB slots on
+  // an 8 KiB budget) while the consumer keeps their leases, so the next
+  // pool send waits. The rows cover the four ways that wait ends; the
+  // consumer acts 20 ms into it.
+  enum class Then { kDropLease, kNothing, kAbandonReceiver };
+  struct Case {
+    const char* name;
+    int held;          // leases the consumer keeps before the send
+    std::size_t size;  // the waiting send's message
+    Then then;
+    std::chrono::milliseconds timeout;
+    ErrorCode want;
+  };
+  const Case cases[] = {
+      {"lease_dropped", 2, 5000, Then::kDropLease, 10s, ErrorCode::kOk},
+      {"nobody_releases", 2, 5000, Then::kNothing, 50ms, ErrorCode::kTimeout},
+      {"receiver_gone", 2, 5000, Then::kAbandonReceiver, 10s,
+       ErrorCode::kUnavailable},
+      {"never_fits", 0, 40000, Then::kNothing, 10s,
+       ErrorCode::kResourceExhausted},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    ChannelOptions o = small_options();
+    o.pool_bytes = 8192;
+    o.timeout = c.timeout;
+    Channel ch(o);
+    std::vector<ByteLease> held(static_cast<std::size_t>(c.held));
+    for (ByteLease& lease : held) {
+      ASSERT_TRUE(ch.send(bytes_of(std::string(5000, 'h'))).is_ok());
+      ASSERT_TRUE(ch.receive(&lease).is_ok());
+    }
+    std::thread consumer([&] {
+      std::this_thread::sleep_for(20ms);
+      if (c.then == Then::kDropLease) held.front().reset();
+      if (c.then == Then::kAbandonReceiver) ch.abandon_receiver();
+    });
+    const std::string msg(c.size, 'w');
+    const auto start = std::chrono::steady_clock::now();
+    const Status st = ch.send(bytes_of(msg));
+    const auto waited = std::chrono::steady_clock::now() - start;
+    consumer.join();
+    EXPECT_EQ(st.code(), c.want) << st.to_string();
+    EXPECT_LT(waited, 5s);  // ended by its event, never a 10 s timeout
+    if (st.is_ok()) {
+      ByteLease out;
+      ASSERT_TRUE(ch.receive(&out).is_ok());
+      EXPECT_EQ(string_of(out), msg);
+    }
+  }
 }
 
 TEST(ChannelTest, EosDeliveredAfterPendingData) {
@@ -314,17 +364,22 @@ TEST(ChannelTest, ReceiveTimesOutWhenIdle) {
   EXPECT_EQ(ch.receive(&out).code(), ErrorCode::kTimeout);
 }
 
-TEST(ChannelTest, XpmemTimeoutPoisonsChannel) {
-  // A sync send with no consumer cannot complete; after the timeout the
-  // channel must refuse further sends (the consumer might still touch the
-  // published segment, so recovery is impossible).
+TEST(ChannelTest, SyncTimeoutLeavesChannelUsable) {
+  // With no consumer a pool-sized sync send times out waiting for the
+  // dequeue. No producer memory was published, so nothing is poisoned:
+  // the message stays queued and still arrives, and later sends work.
   ChannelOptions o = small_options();
   o.timeout = std::chrono::milliseconds(20);
   Channel ch(o);
   std::string big(5000, 'p');
-  EXPECT_EQ(ch.send_sync(bytes_of(big)).code(), ErrorCode::kTimeout);
-  EXPECT_EQ(ch.send(bytes_of("after")).code(),
-            ErrorCode::kFailedPrecondition);
+  EXPECT_EQ(ch.send(bytes_of(big), /*sync=*/true).code(), ErrorCode::kTimeout);
+  // An inline-sized sync send returns at enqueue, consumer or not.
+  ASSERT_TRUE(ch.send(bytes_of("after"), /*sync=*/true).is_ok());
+  ByteLease out;
+  ASSERT_TRUE(ch.receive(&out).is_ok());
+  EXPECT_EQ(string_of(out), big);
+  ASSERT_TRUE(ch.receive(&out).is_ok());
+  EXPECT_EQ(string_of(out), "after");
 }
 
 TEST(ChannelTest, PoolBuffersRecycleAcrossManySends) {

@@ -16,7 +16,8 @@
 //                                              (clock-offset corrected,
 //                                              reader steps parented under
 //                                              writer steps)
-//   flexio_trace pipeline <outdir>             run a 1x1 shm writer/reader
+//   flexio_trace pipeline <outdir>             create <outdir> if needed,
+//                                              run a 1x1 shm writer/reader
 //                                              pipeline with the live
 //                                              telemetry plane up (stats
 //                                              server, heartbeat stats
@@ -31,6 +32,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <span>
 #include <sstream>
@@ -185,6 +187,12 @@ int pipeline(const std::string& outdir) {
   // watchdog that must stay silent -- a happy-path run emitting health
   // events means a detector is trigger-happy, so any event fails the run.
   // Produces the telemetry artifact set CI uploads.
+  std::error_code ec;
+  std::filesystem::create_directories(outdir, ec);
+  if (ec) {
+    return fail("cannot create output directory " + outdir + ": " +
+                ec.message());
+  }
   trace::set_enabled(true);
   trace::reset();
   metrics::set_enabled(true);
